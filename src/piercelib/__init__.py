@@ -61,6 +61,7 @@ from .intervals import (
     log_epsilon_n,
 )
 from .laws import (
+    LIL_BAND_START,
     DigitSampler,
     LawReport,
     child_seed,

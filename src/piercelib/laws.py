@@ -1,11 +1,27 @@
 """Uniform sampling of digit sequences and the classical limit-law statistics.
 
-Sampling never touches floating point: each digit is isolated by refining a
-dyadic interval around a fresh uniform variate until the integer part of
-M/v is unambiguous, where M - 1 is the previous digit.  Conditioned on the
-digits so far, the next shifted point is exactly uniform on [0, 1/M), which
-makes the digit process a Markov chain whose cylinder probabilities equal the
-exact cylinder interval lengths.
+Conditioned on the digits so far, the next shifted point is exactly uniform on
+[0, 1/M), where M - 1 is the previous digit (M = 1 before the first digit).
+The next digit is then floor(M/v) for a uniform v in (0, 1], whose law is
+P(d = j | M) = M/(j(j+1)) for j >= M, so the digit process is a Markov chain
+whose cylinder probabilities equal the exact cylinder interval lengths.
+
+Every digit follows that law exactly; two exact samplers draw it:
+
+* Refinement (M of at most 1024 bits): a dyadic interval around a fresh
+  uniform v is refined until the integer part of M/v is unambiguous, one
+  divmod per refinement, so a digit costs a division of a ~2k-bit integer
+  by a k-bit one.
+* Block-index rejection (larger M): the block index I = floor(d/M) has the
+  law 1/(i(i+1)) whatever M is, so it is drawn by refinement at M = 1.
+  Inside block i the digit is proposed uniformly on [Mi, M(i+1)) and
+  accepted with probability Mi(Mi+1)/(d(d+1)) >= 1/4, which costs a few
+  additions and comparisons of k-bit integers instead of a division.
+
+Floating point enters only the rejection sampler's acceptance test, as a
+filter certified by an error bound: when the float bracket around the
+acceptance probability cannot decide, the test is settled by exact integer
+comparison against lazily extended uniform bits.
 """
 
 from __future__ import annotations
@@ -14,13 +30,20 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
-from .expansion import affine_map
-from .intervals import IntervalExact
+from .intervals import IntervalExact, fundamental_interval
 
-DIGIT_BIT_BUDGET = 4096
+# Scale M above which digits are drawn by block-index rejection.  Below it a
+# single-divmod refinement is faster; above it the division dominates.
+_REJECTION_MIN_BITS = 1024
+# Relative margin around the float acceptance ratio: its error (two
+# truncations to 64 bits plus four float roundings) stays below 2^-50.
+_ACCEPT_MARGIN = 2.0**-45
+# Start depth of the iterated-logarithm band: the first n with log log n >= 1
+# (n >= e^e ~ 15.15), the usual floor L(t) = max(1, log t) in LIL normalisers.
+# Below it the statistic's own spread exceeds its iterated-logarithm scale.
+LIL_BAND_START = math.ceil(math.exp(math.e))
 
 
 def child_seed(seed: int, index: int) -> int:
@@ -32,9 +55,10 @@ def child_seed(seed: int, index: int) -> int:
 class DigitSampler:
     """Lazily samples the digit sequence of a uniform point of (0, 1].
 
-    State per emitted digit: the dyadic interval [a/2^k, (a+1)/2^k) that
-    pinned the digit's renormalized variate, kept for exact pullback via
-    constraint_interval.
+    Each digit is drawn from its exact conditional law given the previous
+    one: by dyadic refinement while the scale M has at most 1024 bits, by
+    block-index rejection beyond.  `bits_used` counts the random bits drawn
+    and `retries` the rejected in-block proposals; both are exact.
     """
 
     def __init__(self, seed: int):
@@ -42,7 +66,6 @@ class DigitSampler:
         self._word: list[int] = []
         self.retries = 0
         self.bits_used = 0
-        self._last_state: tuple[int, int, int] | None = None
 
     @property
     def word(self) -> tuple[int, ...]:
@@ -50,32 +73,72 @@ class DigitSampler:
 
     def next_digit(self) -> int:
         m_scale = (self._word[-1] + 1) if self._word else 1
-        while True:
-            digit, state = self._try_digit(m_scale)
-            if digit is not None:
-                break
-            self.retries += 1
+        if m_scale.bit_length() > _REJECTION_MIN_BITS:
+            digit = self._block_reject(m_scale)
+        else:
+            digit = self._refine(m_scale)
         self._word.append(digit)
-        self._last_state = state
         return digit
 
-    def _try_digit(self, m_scale: int) -> tuple[int | None, tuple[int, int, int] | None]:
-        """One budgeted attempt: returns (digit, (a, k, M)) or (None, None)."""
-        k = m_scale.bit_length() + 16
-        a = self._rng.getrandbits(k)
+    def _getrandbits(self, k: int) -> int:
         self.bits_used += k
+        return self._rng.getrandbits(k)
+
+    def _refine(self, m_scale: int) -> int:
+        """floor(M/v) for a fresh uniform v in (0, 1], exactly."""
+        k = m_scale.bit_length() + 16
+        a = self._getrandbits(k)
         while True:
             if a > 0:
                 # floor(scaled/a) == floor(scaled/(a+1)) iff q*(a+1) <= scaled
                 # iff q <= r, so one divmod settles both floors.
                 q, r = divmod(m_scale << k, a)
                 if q <= r:
-                    return q, (a, k, m_scale)
-            if k > DIGIT_BIT_BUDGET + m_scale.bit_length():
-                return None, None
-            a = (a << 32) | self._rng.getrandbits(32)
+                    return q
+            a = (a << 32) | self._getrandbits(32)
             k += 32
-            self.bits_used += 32
+
+    def _block_reject(self, m_scale: int) -> int:
+        """The digit by rejection inside the block M*I .. M*(I+1) - 1.
+
+        The block index is drawn once: block i's acceptance mass depends on
+        i, so redrawing it after a rejection would bias the block law.
+        """
+        base = m_scale * self._refine(1)
+        width = m_scale.bit_length()
+        while True:
+            r = self._getrandbits(width)
+            if r < m_scale and self._accept(base, base + r):
+                return base + r
+            self.retries += 1
+
+    def _accept(self, base: int, j: int) -> bool:
+        """True with probability p = base(base+1)/(j(j+1)) exactly.
+
+        Needs base >= 2^63 (here base >= M >= 2^1024).  A uniform U in
+        [0, 1) accepts iff U < p.  Its first 53 bits are compared with a
+        float bracket around p; only when that cannot decide are further
+        bits drawn and compared with p in exact integers.
+        """
+        s = base.bit_length() - 64
+        p = (float(base >> s) / float(j >> s)) ** 2 * 2.0**53
+        u = self._getrandbits(53)
+        if u + 1 <= p * (1 - _ACCEPT_MARGIN):
+            return True
+        if u >= p * (1 + _ACCEPT_MARGIN):
+            return False
+        num = base * (base + 1)
+        den = j * (j + 1)
+        k = 53
+        while True:
+            # U lies in [u/2^k, (u+1)/2^k); compare both ends with p.
+            x = u * den
+            if x + den <= num << k:
+                return True
+            if x >= num << k:
+                return False
+            u = (u << 32) | self._getrandbits(32)
+            k += 32
 
     def take(self, n: int) -> tuple[int, ...]:
         while len(self._word) < n:
@@ -83,23 +146,11 @@ class DigitSampler:
         return tuple(self._word[:n])
 
     def constraint_interval(self) -> IntervalExact:
-        """Exact interval of points consistent with every emitted digit and
-        with the final digit's refined dyadic state; a subset of the last
-        digit's cylinder.  Re-expanding any point inside reproduces the word."""
-        if self._last_state is None:
+        """Exact interval of points consistent with every emitted digit: the
+        cylinder of the word.  Re-expanding any point inside reproduces it."""
+        if not self._word:
             raise ValueError("no digit emitted yet")
-        a, k, m_scale = self._last_state
-        denom = m_scale << k
-        y_lo = Fraction(a, denom)
-        y_hi = Fraction(a + 1, denom)
-        prefix = tuple(self._word[:-1])
-        if not prefix:
-            return IntervalExact(y_lo, y_hi, left_open=False, right_open=True)
-        lo = affine_map(prefix, y_lo)
-        hi = affine_map(prefix, y_hi)
-        if len(prefix) % 2:
-            return IntervalExact(hi, lo, left_open=True, right_open=False)
-        return IntervalExact(lo, hi, left_open=False, right_open=True)
+        return fundamental_interval(self.word)
 
 
 def sample_digits(seed: int, n: int) -> tuple[int, ...]:
@@ -136,13 +187,13 @@ def lil_stat(word, n: int) -> float:
     return (math.log(d) - n) / math.sqrt(2 * n * math.log(math.log(n)))
 
 
-def lil_running_extremes(word) -> tuple[float, float]:
-    """(max, min) of the iterated-logarithm statistic over depths 3..len."""
-    if len(word) < 3:
-        raise ValueError("need at least 3 digits")
+def lil_running_extremes(word, start: int = 3) -> tuple[float, float]:
+    """(max, min) of the iterated-logarithm statistic over depths start..len."""
+    if len(word) < start:
+        raise ValueError(f"need at least {start} digits")
     hi = -math.inf
     lo = math.inf
-    for n in range(3, len(word) + 1):
+    for n in range(start, len(word) + 1):
         s = lil_stat(word, n)
         hi = max(hi, s)
         lo = min(lo, s)
@@ -181,19 +232,20 @@ class LawReport:
 
 
 def _one_sample(args) -> tuple[float, float, float, int]:
-    """(statistic, lil_max, lil_min, retries) for one seeded sample."""
+    """(statistic, lil_max, lil_min, retries) for one seeded sample; the lil
+    extremes run from LIL_BAND_START and are zero when n is below it."""
     law, seed, index, n = args
     sampler = DigitSampler(child_seed(seed, index))
     word = sampler.take(n)
+    extremes = (0.0, 0.0)
     if law == "lln":
         stat = lln_stat(word, n)
-        extremes = (0.0, 0.0)
     elif law == "clt":
         stat = clt_stat(word, n)
-        extremes = (0.0, 0.0)
     else:
         stat = lil_stat(word, n)
-        extremes = lil_running_extremes(word)
+        if n >= LIL_BAND_START:
+            extremes = lil_running_extremes(word, LIL_BAND_START)
     return stat, extremes[0], extremes[1], sampler.retries
 
 
@@ -235,7 +287,7 @@ def run_law(law: str, seed: int, n: int, count: int, workers: int = 1) -> LawRep
     }
     if law == "clt":
         summary["ks_distance"] = ks_distance(stats, normal_cdf)
-    if law == "lil":
+    if law == "lil" and n >= LIL_BAND_START:
         in_band = sum(
             1 for r in rows if 0 < r[1] < 3 and -3 < r[2] < 0
         )

@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 
 from piercelib import (
+    LIL_BAND_START,
     BoundsProfile,
     SetSpec,
     affine_profile,
@@ -39,7 +40,7 @@ from piercelib import (
     interval_length,
     is_admissible,
     lil_profile,
-    lil_stat,
+    lil_running_extremes,
     log_profile,
     oscillating_ratio_word,
     run_law,
@@ -338,8 +339,8 @@ def test_criterion_10_clt_monte_carlo():
 # (the usual floor L(t) = max(1, log t) in LIL normalisers).  Below that the
 # band is decided by the heavy early digits, which the law says nothing about:
 # lil_stat(., 3) >= 3 exactly when d_3 >= 192, an event of probability 0.1199.
+# The band therefore starts at the library's LIL_BAND_START = ceil(e^e) = 16.
 LIL_DOMAIN_START = 3
-LIL_BAND_START = math.ceil(math.exp(math.e))  # 16, first n with log log n >= 1
 LIL_DEPTH = 10_000
 
 
@@ -350,9 +351,10 @@ def _lil_extremes(seed: int) -> tuple[Extremes, Extremes]:
     """Running (max, min) of lil_stat from LIL_DOMAIN_START and from
     LIL_BAND_START, both up to LIL_DEPTH."""
     word = sample_digits(seed, LIL_DEPTH)
-    stats = {n: lil_stat(word, n) for n in range(LIL_DOMAIN_START, LIL_DEPTH + 1)}
-    band = [s for n, s in stats.items() if n >= LIL_BAND_START]
-    return (max(stats.values()), min(stats.values())), (max(band), min(band))
+    return (
+        lil_running_extremes(word, LIL_DOMAIN_START),
+        lil_running_extremes(word, LIL_BAND_START),
+    )
 
 
 def _band_tally(extremes: list[Extremes]) -> tuple[float, str]:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from piercelib.expansion import expand
 from piercelib.intervals import fundamental_interval
 from piercelib.laws import (
+    LIL_BAND_START,
     DigitSampler,
     LawReport,
     child_seed,
@@ -61,6 +62,173 @@ def test_constraint_interval_needs_a_digit():
         DigitSampler(1).constraint_interval()
 
 
+class _OracleSampler:
+    """The dyadic-refinement sampler as it stood before block-index rejection
+    (bit budget, retry loop and all), frozen as the differential oracle."""
+
+    BIT_BUDGET = 4096
+
+    def __init__(self, seed: int):
+        self._rng = random.Random(seed)
+        self._word: list[int] = []
+        self.retries = 0
+        self.bits_used = 0
+
+    def next_digit(self) -> int:
+        m_scale = (self._word[-1] + 1) if self._word else 1
+        while True:
+            digit = self._try_digit(m_scale)
+            if digit is not None:
+                break
+            self.retries += 1
+        self._word.append(digit)
+        return digit
+
+    def _try_digit(self, m_scale: int) -> int | None:
+        k = m_scale.bit_length() + 16
+        a = self._rng.getrandbits(k)
+        self.bits_used += k
+        while True:
+            if a > 0:
+                q, r = divmod(m_scale << k, a)
+                if q <= r:
+                    return q
+            if k > self.BIT_BUDGET + m_scale.bit_length():
+                return None
+            a = (a << 32) | self._rng.getrandbits(32)
+            k += 32
+            self.bits_used += 32
+
+    def take(self, n: int) -> tuple[int, ...]:
+        while len(self._word) < n:
+            self.next_digit()
+        return tuple(self._word[:n])
+
+
+def test_sampler_matches_oracle_to_depth_500():
+    # Depth-500 digits stay far below 2^1024, where the refinement path is
+    # the old sampler bit for bit, counters included.
+    for i in range(60):
+        seed = child_seed(500, i)
+        new, old = DigitSampler(seed), _OracleSampler(seed)
+        assert new.take(500) == old.take(500)
+        assert (new.bits_used, new.retries) == (old.bits_used, old.retries)
+
+
+def test_sampler_matches_oracle_until_scale_passes_1024_bits():
+    for i in range(3):
+        seed = child_seed(7, i)
+        new, old = DigitSampler(seed).take(800), _OracleSampler(seed).take(800)
+        cut = next(n for n, d in enumerate(new) if (d + 1).bit_length() > 1024)
+        assert new[: cut + 1] == old[: cut + 1]
+        assert new[cut + 1 :] != old[cut + 1 :]
+
+
+def _next_digit_at(sampler, m_scale: int) -> int:
+    sampler._word = [m_scale - 1]
+    return sampler.next_digit()
+
+
+def test_path_switches_past_1024_bits():
+    below, above = 2**1024 - 1, 2**1024
+    for i in range(5):
+        seed = child_seed(99, i)
+        assert _next_digit_at(DigitSampler(seed), below) == _next_digit_at(
+            _OracleSampler(seed), below
+        )
+        assert _next_digit_at(DigitSampler(seed), above) == DigitSampler(
+            seed
+        )._block_reject(above)
+
+
+# Bucket edges as multiples of M: within block 1 (acceptance test), across
+# blocks, and the tail.
+_EDGES = (1, Fraction(5, 4), Fraction(3, 2), 2, 3, 5, 10)
+
+
+def _bucket_probs(m: int) -> list[float]:
+    """Exact P(d in bucket | M = m) from the tails P(d >= J) = M/J."""
+    tails = [Fraction(m, math.ceil(c * m)) for c in _EDGES] + [Fraction(0)]
+    return [float(a - b) for a, b in zip(tails, tails[1:])]
+
+
+def _bucket_counts(digits, m: int) -> list[int]:
+    edges = [math.ceil(c * m) for c in _EDGES[1:]]
+    counts = [0] * (len(edges) + 1)
+    for d in digits:
+        counts[sum(1 for e in edges if d >= e)] += 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "m", [2**1023, 2**1024 + 1, 2**3000 + 7], ids=["2^1023", "2^1024+1", "2^3000+7"]
+)
+def test_large_scale_digit_law_is_exact(m):
+    n = 6000
+    sampler = DigitSampler(child_seed(4, m.bit_length()))
+    rejected = [sampler._block_reject(m) for _ in range(n)]
+    refined = [sampler._refine(m) for _ in range(n)]
+    assert all(d >= m for d in rejected + refined)
+    probs = _bucket_probs(m)
+    for a, b, p in zip(_bucket_counts(rejected, m), _bucket_counts(refined, m), probs):
+        se = math.sqrt(p * (1 - p) / n)
+        assert abs(a / n - p) < 4 * se
+        assert abs(b / n - p) < 4 * se
+        assert abs(a - b) / n < 4 * se * math.sqrt(2)
+    assert sampler.retries > 0
+
+
+class _ScriptedRng:
+    """Stands in for random.Random: hands out scripted (bits, value) draws."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def getrandbits(self, k: int) -> int:
+        bits, value = self.draws.pop(0)
+        assert bits == k
+        return value
+
+
+def _lazy_accept_reference(p: Fraction, draws) -> tuple[bool, int]:
+    """Accept iff U < p, reading U's bits lazily: (decision, draws read)."""
+    u, k = 0, 0
+    for used, (bits, value) in enumerate(draws, start=1):
+        u, k = (u << bits) | value, k + bits
+        if Fraction(u + 1, 2**k) <= p:
+            return True, used
+        if Fraction(u, 2**k) >= p:
+            return False, used
+    raise AssertionError("script too short to decide")
+
+
+def test_acceptance_exact_fallback_matches_fraction():
+    m = 2**1100 + 12345
+    base, j = 3 * m, 3 * m + m // 3 + 17
+    p = Fraction(base * (base + 1), j * (j + 1))
+    top = math.floor(p * 2**53)
+    low = math.floor(p * 2**85) & (2**32 - 1)
+    assert 0 < low < 2**32 - 1
+    scripts = [
+        [(53, top - 50)],
+        [(53, top + 50)],
+        [(53, top), (32, low - 1)],
+        [(53, top), (32, low + 1)],
+        [(53, top), (32, low), (32, 0)],
+        [(53, top), (32, low), (32, 2**32 - 1)],
+    ]
+    for script in scripts:
+        # Every first draw lies inside the float bracket, whose margin 2^-45
+        # exceeds the float ratio's error, so the float filter cannot decide.
+        assert abs(Fraction(script[0][1], 2**53) - p) < p * Fraction(1, 2**46)
+        sampler = DigitSampler(0)
+        sampler._rng = _ScriptedRng(script)
+        expected, used = _lazy_accept_reference(p, script)
+        assert sampler._accept(base, j) is expected
+        assert len(script) - len(sampler._rng.draws) == used
+        assert sampler.bits_used == sum(bits for bits, _ in script[:used])
+
+
 def test_lln_stat_fixtures():
     word = tuple(range(1, 101))
     assert lln_stat(word, 100) == pytest.approx(math.log(100) / 100)
@@ -87,10 +255,21 @@ def test_lil_stat_domain():
 
 def test_lil_running_extremes_orders():
     word = sample_digits(4242, 50)
-    hi, lo = lil_running_extremes(word)
-    assert hi >= lo
-    stats = [lil_stat(word, n) for n in range(3, 51)]
-    assert hi == max(stats) and lo == min(stats)
+    for start in (3, LIL_BAND_START, 50):
+        hi, lo = lil_running_extremes(word, start)
+        assert hi >= lo
+        stats = [lil_stat(word, n) for n in range(start, 51)]
+        assert hi == max(stats) and lo == min(stats)
+    assert lil_running_extremes(word) == lil_running_extremes(word, 3)
+    with pytest.raises(ValueError):
+        lil_running_extremes(word, 2)
+    with pytest.raises(ValueError):
+        lil_running_extremes(word, 51)
+
+
+def test_lil_band_start_is_first_depth_with_loglog_at_least_one():
+    assert LIL_BAND_START == 16
+    assert math.log(math.log(LIL_BAND_START)) >= 1 > math.log(math.log(15))
 
 
 def test_depth_three_lil_tail_exact_law():
@@ -189,9 +368,16 @@ def test_run_law_clt_has_ks():
 
 
 def test_run_law_lil_band_fraction():
-    report = run_law("lil", 3, 200, 30)
-    frac = report.summary["extremes_in_band_fraction"]
-    assert 0 <= frac <= 1
+    n, count = 200, 30
+    report = run_law("lil", 3, n, count)
+    in_band = 0
+    for i in range(count):
+        word = sample_digits(child_seed(3, i), n)
+        stats = [lil_stat(word, k) for k in range(16, n + 1)]
+        in_band += 0 < max(stats) < 3 and -3 < min(stats) < 0
+    assert report.summary["extremes_in_band_fraction"] == in_band / count
+    short = run_law("lil", 3, LIL_BAND_START - 1, 5)
+    assert "extremes_in_band_fraction" not in short.summary
 
 
 def test_run_law_validation():
