@@ -17,7 +17,7 @@ from typing import Any
 
 import mpmath
 
-from ._precision import certified_floor
+from ._precision import DEFAULT_PRECISION_BITS, certified_floor
 from .expansion import is_admissible
 from .families import SetSpec, count_constrained_words, enumerate_constrained_words
 from .intervals import family_basic_interval
@@ -27,8 +27,6 @@ from .profiles import (
     GrowthProfile,
     check_deviation_scale,
 )
-
-DEFAULT_PRECISION_BITS = 128
 
 
 @dataclass(frozen=True)
@@ -45,11 +43,6 @@ class RatioPoint:
 class DimensionEstimate:
     lower_seq: list[RatioPoint]
     upper_seq: list[RatioPoint]
-    analytic: float | None = None
-    family: SetSpec | None = None
-    status: str = ""
-    empty: bool = False
-    detail: str = ""
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,11 @@ Every x in (0, 1] expands as an alternating sum of unit-fraction products
 
 with strictly increasing positive integer digits d1 < d2 < ... .  The digit
 map is d(x) = floor(1/x) and the shift is T(x) = 1 - floor(1/x)*x.  Rational
-points terminate after finitely many digits.  Everything here is computed
-exactly with `fractions.Fraction`; words are plain tuples of ints.
+points terminate after finitely many digits.  Everything here is exact and
+runs on plain integers: for x = p/q the digit recursion is d, p = divmod(q, p)
+with q fixed, and a word's value is a forward integer fold whose denominator
+is the digit product.  Each public function builds one `fractions.Fraction`
+at the end; words are plain tuples of ints.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ def first_digit(x: Fraction) -> int:
 
 def shift(x: Fraction) -> Fraction:
     """One expansion step: T(x) = 1 - floor(1/x)*x, mapping (0,1] into [0,1)."""
-    return 1 - first_digit(x) * x
+    return Fraction(x.denominator - first_digit(x) * x.numerator, x.denominator)
 
 
 def expand(x: Fraction, cap: int | None = None) -> ExpansionResult:
@@ -51,28 +54,41 @@ def expand(x: Fraction, cap: int | None = None) -> ExpansionResult:
         raise ValueError(f"expand needs 0 < x <= 1, got {x}")
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
+    # floor(q/p) does not change when p and q are scaled, so the shift
+    # iterates can stay unreduced over the fixed denominator q
+    p, q = x.as_integer_ratio()
     digits: list[int] = []
-    y = Fraction(x)
-    while y != 0 and (cap is None or len(digits) < cap):
-        d = y.denominator // y.numerator
+    while p and (cap is None or len(digits) < cap):
+        d, p = divmod(q, p)
         digits.append(d)
-        y = 1 - d * y
-    return ExpansionResult(word=tuple(digits), terminated=(y == 0), remainder=y)
+    return ExpansionResult(word=tuple(digits), terminated=(p == 0), remainder=Fraction(p, q))
+
+
+def _fold(word: Sequence[int]) -> tuple[int, int]:
+    """(num, den) with value(word) = num/den and den = prod(word), unreduced.
+
+    Forward fold: appending digit d to a word of value num/den adds
+    (-1)^(len+1) / (den*d), so (num, den) -> (num*d +- 1, den*d).
+    """
+    num, den, sign = 0, 1, 1
+    for d in word:
+        if d < 1:
+            # name the last non-positive digit, keeping the established message
+            bad = next(b for b in reversed(word) if b < 1)
+            raise ValueError(f"digits must be positive, got {bad}")
+        num = num * d + sign
+        den *= d
+        sign = -sign
+    return num, den
 
 
 def evaluate(word: Sequence[int]) -> Fraction:
     """Exact alternating value of a word: sum_j (-1)^(j+1) prod_{k<=j} 1/w_k.
 
-    Folds back to front via value(w) = (1 - value(w[1:])) / w[0].  The empty
-    word evaluates to 0.  Digits must be positive; admissibility is the
-    caller's contract (see `is_admissible`).
+    The empty word evaluates to 0.  Digits must be positive; admissibility is
+    the caller's contract (see `is_admissible`).
     """
-    acc = Fraction(0)
-    for d in reversed(word):
-        if d < 1:
-            raise ValueError(f"digits must be positive, got {d}")
-        acc = (1 - acc) / d
-    return acc
+    return Fraction(*_fold(word))
 
 
 def bump_last(word: Sequence[int]) -> Word:
@@ -120,5 +136,8 @@ def affine_map(word: Sequence[int], x: Fraction) -> Fraction:
     expand(g_w(y)) starts with w whenever y lies in the next-level range.
     It contracts distances by exactly 1/prod(w).
     """
-    sign = -1 if len(word) % 2 else 1
-    return evaluate(word) + sign * Fraction(1, digit_product(word)) * x
+    num, den = _fold(word)
+    xn, xd = x.numerator, x.denominator
+    if len(word) % 2:
+        xn = -xn
+    return Fraction(num * xd + xn, den * xd)

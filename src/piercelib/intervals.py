@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .expansion import bump_last, digit_product, evaluate, is_admissible
+from .expansion import _fold, bump_last, digit_product, evaluate, is_admissible
 from .profiles import BoundsProfile
 
 
@@ -90,8 +90,7 @@ def children_length_sum(word: tuple[int, ...], a: int, b: int) -> Fraction:
         raise ValueError(f"child digits must exceed {word[-1]}, got start {a}")
     if a > b:
         raise ValueError(f"empty child range {a}..{b}")
-    p = digit_product(word)
-    return Fraction(1, p * a) - Fraction(1, p * (b + 1))
+    return Fraction(b + 1 - a, digit_product(word) * a * (b + 1))
 
 
 def _child_range(l_next, r_next) -> tuple[int, int]:
@@ -113,18 +112,18 @@ def basic_interval(word: tuple[int, ...], l_next, r_next) -> IntervalExact:
 
 
 def _basic_from_digits(word: tuple[int, ...], a: int, b: int) -> IntervalExact:
-    if not word:
-        return IntervalExact(Fraction(1, b + 1), Fraction(1, a))
-    if not is_admissible(word):
-        raise ValueError(f"word {word!r} is not strictly increasing and positive")
-    if a <= word[-1]:
-        raise ValueError(f"child digits must exceed {word[-1]}, got start {a}")
-    base = evaluate(word)
-    p = Fraction(1, digit_product(word))
+    """Hull of the children with next digit a..b: the endpoints are
+    g_word(1/a) and g_word(1/(b+1)), in increasing order for odd len(word)."""
+    if word:
+        if not is_admissible(word):
+            raise ValueError(f"word {word!r} is not strictly increasing and positive")
+        if a <= word[-1]:
+            raise ValueError(f"child digits must exceed {word[-1]}, got start {a}")
+    num, den = _fold(word)
     sign = -1 if len(word) % 2 else 1
-    e_first = base + sign * p / a
-    e_last = base + sign * p / (b + 1)
-    if e_first <= e_last:
+    e_first = Fraction(num * a + sign, den * a)
+    e_last = Fraction(num * (b + 1) + sign, den * (b + 1))
+    if sign < 0:
         return IntervalExact(e_first, e_last)
     return IntervalExact(e_last, e_first)
 

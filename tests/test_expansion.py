@@ -4,10 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from piercelib.expansion import (
+    ExpansionResult,
+    _fold,
     affine_map,
     bump_last,
     digit_product,
@@ -147,3 +149,137 @@ def test_log_of_huge_digit_is_finite():
     # depth-500 digits have hundreds of bits; log must not overflow
     d = 1 << 2000
     assert math.isfinite(math.log(d))
+
+
+# -- differential oracle -------------------------------------------------------
+# The Fraction-per-step implementations that the integer recursion and fold
+# replaced, frozen as the reference the library must match exactly.
+
+
+def _oracle_expand(x, cap=None):
+    digits = []
+    y = Fraction(x)
+    while y != 0 and (cap is None or len(digits) < cap):
+        d = y.denominator // y.numerator
+        digits.append(d)
+        y = 1 - d * y
+    return ExpansionResult(word=tuple(digits), terminated=(y == 0), remainder=y)
+
+
+def _oracle_shift(x):
+    return 1 - (x.denominator // x.numerator) * x
+
+
+def _oracle_evaluate(word):
+    acc = Fraction(0)
+    for d in reversed(word):
+        if d < 1:
+            raise ValueError(f"digits must be positive, got {d}")
+        acc = (1 - acc) / d
+    return acc
+
+
+def _oracle_affine_map(word, x):
+    sign = -1 if len(word) % 2 else 1
+    p = 1
+    for d in word:
+        p *= d
+    return _oracle_evaluate(word) + sign * Fraction(1, p) * x
+
+
+def _rationals_below(bits):
+    """x = p/q in (0, 1] with q < 2**bits."""
+    return st.integers(min_value=1, max_value=2**bits - 1).flatmap(
+        lambda q: st.builds(Fraction, st.integers(min_value=1, max_value=q), st.just(q))
+    )
+
+
+# digits up to 2**2000, any length from the empty word up, both parities
+big_words = st.lists(
+    st.one_of(
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=2**64),
+        st.integers(min_value=1, max_value=2**2000),
+    ),
+    max_size=9,
+    unique=True,
+).map(lambda xs: tuple(sorted(xs)))
+
+caps = st.none() | st.integers(min_value=1, max_value=40)
+
+
+def _assert_same_expansion(got, want):
+    assert got == want
+    assert type(got.remainder) is Fraction
+
+
+@given(st.one_of(_rationals_below(64), _rationals_below(256)), caps)
+@settings(max_examples=300, deadline=None)
+@example(Fraction(7, 9), None)
+@example(Fraction(47, 101), 2)
+def test_expand_matches_fraction_oracle(x, cap):
+    _assert_same_expansion(expand(x, cap=cap), _oracle_expand(x, cap=cap))
+
+
+@given(st.one_of(_rationals_below(64), _rationals_below(256)))
+@settings(max_examples=200, deadline=None)
+def test_shift_matches_fraction_oracle(x):
+    got = shift(x)
+    assert type(got) is Fraction
+    assert got == _oracle_shift(x)
+
+
+def test_int_inputs_match_fraction_oracle():
+    _assert_same_expansion(expand(1), _oracle_expand(1))
+    _assert_same_expansion(expand(1, cap=1), _oracle_expand(1, cap=1))
+    got = shift(1)
+    assert type(got) is Fraction and got == _oracle_shift(1)
+    for word in ((), (2,), (1, 4), (1, 4, 9)):
+        for x in (0, 1, -3):
+            got = affine_map(word, x)
+            assert type(got) is Fraction
+            assert got == _oracle_affine_map(word, x)
+
+
+@given(big_words)
+@settings(max_examples=300, deadline=None)
+@example(())
+@example((5,))
+@example((1, 4))
+@example((1, 4, 9))
+def test_evaluate_matches_fraction_oracle(word):
+    got = evaluate(word)
+    assert type(got) is Fraction
+    assert got == _oracle_evaluate(word)
+    num, den = _fold(word)
+    assert den == digit_product(word)
+    assert Fraction(num, den) == got
+
+
+@given(big_words, st.fractions() | st.integers(min_value=-5, max_value=5))
+@settings(max_examples=300, deadline=None)
+@example((), Fraction(1, 3))
+@example((3,), Fraction(0))
+@example((2, 7), Fraction(1))
+def test_affine_map_matches_fraction_oracle(word, x):
+    got = affine_map(word, x)
+    assert type(got) is Fraction
+    assert got == _oracle_affine_map(word, x)
+
+
+@given(
+    st.lists(st.integers(min_value=-3, max_value=12), min_size=1, max_size=6).filter(
+        lambda xs: min(xs) < 1
+    )
+)
+@settings(max_examples=100, deadline=None)
+@example([0])
+@example([3, 0, -2, 5])
+def test_nonpositive_digit_error_matches_fraction_oracle(word):
+    word = tuple(word)
+    with pytest.raises(ValueError) as want:
+        _oracle_evaluate(word)
+    for call in (lambda: evaluate(word), lambda: affine_map(word, Fraction(1, 2))):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(want.value)
