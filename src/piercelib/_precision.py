@@ -2,7 +2,12 @@
 
 Real-valued bound rows like exp(n + sqrt(n)) need exact floors and exact
 comparisons.  Expressions are evaluated under `mpmath.iv` (directed-rounding
-intervals) at escalating precision until the answer is unambiguous.
+intervals) at a precision that doubles from 128 bits up to a ceiling of 2^16
+bits, inclusive, until the answer is unambiguous.  An enclosure that is
+exactly the point 0 is a certified zero, so `certified_sign` returns 0 at once.
+A value still ambiguous at the ceiling (for instance a transcendental
+expression that equals an integer exactly) raises PrecisionError: an undecided
+answer is raised, never resolved.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from typing import Callable
 import mpmath
 
 DEFAULT_PRECISION_BITS = 128
-_MAX_PRECISION_BITS = 1 << 20
+_MAX_PRECISION_BITS = 1 << 16
 
 
 class PrecisionError(ArithmeticError):
@@ -30,6 +35,31 @@ def _at_precision(expr: Callable[[mpmath.ctx_iv.MPIntervalContext], object], bit
         iv.prec = old
 
 
+def _escalate(expr, start_bits: int, decide, what: str):
+    """First non-None `decide(enclosure)` as the precision doubles up to the ceiling."""
+    bits = max(start_bits, 53)
+    while bits <= _MAX_PRECISION_BITS:
+        answer = decide(_at_precision(expr, bits))
+        if answer is not None:
+            return answer
+        bits *= 2
+    raise PrecisionError(f"{what} undecided at {_MAX_PRECISION_BITS} bits")
+
+
+def _floor_of(val) -> int | None:
+    lo = int(mpmath.floor(val.a))
+    return lo if lo == int(mpmath.floor(val.b)) else None
+
+
+def _sign_of(val) -> int | None:
+    if val.a > 0:
+        return 1
+    if val.b < 0:
+        return -1
+    # here a <= 0 <= b, so a == b only for the point 0
+    return 0 if val.a == val.b else None
+
+
 def certified_floor(
     expr: Callable[[mpmath.ctx_iv.MPIntervalContext], object],
     start_bits: int = DEFAULT_PRECISION_BITS,
@@ -41,35 +71,19 @@ def certified_floor(
     are exactly integers but only representable transcendentally cannot be
     certified and raise PrecisionError.
     """
-    bits = max(start_bits, 53)
-    while bits <= _MAX_PRECISION_BITS:
-        val = _at_precision(expr, bits)
-        lo = int(mpmath.floor(val.a))
-        hi = int(mpmath.floor(val.b))
-        if lo == hi:
-            return lo
-        bits *= 2
-    raise PrecisionError(
-        f"floor undecided at {_MAX_PRECISION_BITS} bits; endpoints straddle an integer"
-    )
+    return _escalate(expr, start_bits, _floor_of, "floor")
 
 
 def certified_sign(
     expr: Callable[[mpmath.ctx_iv.MPIntervalContext], object],
     start_bits: int = DEFAULT_PRECISION_BITS,
 ) -> int:
-    """Sign (+1 or -1) of a provably nonzero interval expression."""
-    bits = max(start_bits, 53)
-    while bits <= _MAX_PRECISION_BITS:
-        val = _at_precision(expr, bits)
-        if val.a > 0:
-            return 1
-        if val.b < 0:
-            return -1
-        bits *= 2
-    raise PrecisionError(
-        f"sign undecided at {_MAX_PRECISION_BITS} bits; interval straddles zero"
-    )
+    """Sign (+1, -1, or 0 for a certified zero) of an interval expression.
+
+    It is 0 only when an enclosure is exactly the point 0; an enclosure that
+    still straddles 0 at the ceiling raises PrecisionError.
+    """
+    return _escalate(expr, start_bits, _sign_of, "sign")
 
 
 def iv_from_fraction(iv: mpmath.ctx_iv.MPIntervalContext, q: Fraction):

@@ -14,12 +14,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from ._precision import PrecisionError, certified_sign, iv_from_fraction
 from .expansion import is_admissible
 from .profiles import (
     DEFAULT_WINDOW,
     BoundsProfile,
     GrowthProfile,
+    _encode_tag,
+    affine_profile,
+    certified_compare,
+    exp_of_profile,
     index_scaled_profile,
 )
 
@@ -62,11 +65,7 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
 def _enc(v: Any) -> Any:
     if isinstance(v, GrowthProfile) or isinstance(v, BoundsProfile):
         return v.to_dict()
-    if isinstance(v, Fraction):
-        return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float) and math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return v
+    return _encode_tag(v)
 
 
 def _dec(key: str, v: Any) -> Any:
@@ -183,46 +182,14 @@ class MembershipResult:
     detail: str
 
 
-def _cert_ge(make_expr, tie_value: bool = True) -> bool:
-    """Sign of an interval expression, ties resolved to `tie_value`."""
-    try:
-        return certified_sign(make_expr) >= 0
-    except PrecisionError:
-        return tie_value
-
-
-def _profile_lt(h_left: GrowthProfile, t_left: int, h_right: GrowthProfile, t_right: int) -> bool:
-    """Certified h_left(t_left) < h_right(t_right); ties count as failure."""
-    a, b = h_left.value(t_left), h_right.value(t_right)
-    if a is not None and b is not None:
-        return a < b
-    return not _cert_ge(
-        lambda iv: h_left.iv_value(t_left, iv) - h_right.iv_value(t_right, iv),
-        tie_value=True,
-    )
-
-
-def _profile_le(h_left: GrowthProfile, t_left: int, h_right: GrowthProfile, t_right: int) -> bool:
-    """Certified h_left(t_left) <= h_right(t_right); ties count as success."""
-    a, b = h_left.value(t_left), h_right.value(t_right)
-    if a is not None and b is not None:
-        return a <= b
-    return _cert_ge(
-        lambda iv: h_right.iv_value(t_right, iv) - h_left.iv_value(t_left, iv),
-        tie_value=True,
-    )
-
-
-def _log_digit(d: int) -> float:
-    return math.log(d)
-
-
 def membership(spec: SetSpec, digits: tuple[int, ...], horizon: int) -> MembershipResult:
     """Evaluate the family condition on the first `horizon` digits.
 
-    Window families report exact satisfied/violated over the prefix.  Limit
-    families report the defining ratio at the horizon; `violated` is set only
-    when the family itself is provably empty.
+    Window families report exact satisfied/violated over the prefix, or
+    neither, with "undecided" in `detail`, when a comparison stays undecided
+    at the precision ceiling.  Limit families report the defining ratio at
+    the horizon; `violated` is set only when the family itself is provably
+    empty.
     """
     if horizon < 1 or horizon > len(digits):
         raise ValueError(f"horizon {horizon} outside 1..{len(digits)}")
@@ -244,14 +211,14 @@ def _window_membership(spec: SetSpec, word: tuple[int, ...]) -> MembershipResult
         kq = Fraction(kappa)
         if kq <= 0:
             return MembershipResult(True, False, None, "kappa <= 0 holds for every x")
+        growth = exp_of_profile(affine_profile(kq))
         for n, d in enumerate(word, start=1):
-            target = kq * n
-            # log d >= kappa * n, ties satisfied
-            ok = _cert_ge(
-                lambda iv, d=d, t=target: iv.log(iv.mpf(d)) - iv_from_fraction(iv, t),
-                tie_value=True,
-            )
-            if not ok:
+            # log d >= kappa*n as exp(kappa*n) <= d: e^t is transcendental for
+            # rational t > 0, so no tie is possible
+            sign = certified_compare(((1, growth, n),), d)
+            if sign is None:
+                return MembershipResult(False, False, None, f"log d_{n} >= kappa*{n} undecided")
+            if sign > 0:
                 return MembershipResult(False, True, None, f"log d_{n} < kappa*{n}")
         return MembershipResult(True, False, None, f"log d_n >= kappa*n up to n={n_levels}")
     if fam == "B_kappa":
@@ -292,9 +259,19 @@ def _window_membership(spec: SetSpec, word: tuple[int, ...]) -> MembershipResult
     h3 = p.get("h3")
     for n in range(m, n_levels):
         d_now, d_next = word[n - 1], word[n]
-        if not _profile_lt(h1, d_now, h2, d_next):
+        # "<" is strict, so a tie fails it
+        sign = certified_compare(((1, h1, d_now), (-1, h2, d_next)))
+        if sign is None:
+            return MembershipResult(False, False, None, f"h1(d_{n}) < h2(d_{n + 1}) undecided")
+        if sign >= 0:
             return MembershipResult(False, True, None, f"h1(d_{n}) >= h2(d_{n + 1})")
-        if h3 is not None and not _profile_le(h2, d_next, h3, d_now):
+        if h3 is None:
+            continue
+        # "<=" is not strict, so a tie meets it
+        sign = certified_compare(((1, h2, d_next), (-1, h3, d_now)))
+        if sign is None:
+            return MembershipResult(False, False, None, f"h2(d_{n + 1}) <= h3(d_{n}) undecided")
+        if sign > 0:
             return MembershipResult(False, True, None, f"h2(d_{n + 1}) > h3(d_{n})")
     return MembershipResult(True, False, None, f"pair conditions hold for n in {m}..{n_levels - 1}")
 
@@ -308,30 +285,30 @@ def _limit_membership(spec: SetSpec, word: tuple[int, ...]) -> MembershipResult:
         raise ValueError("L_beta estimate needs horizon >= 3")
     if fam == "E_phi":
         phi: GrowthProfile = p["profile"]
-        estimate = _log_digit(word[-1]) / float(phi.mp_value(h))
+        estimate = math.log(word[-1]) / float(phi.mp_value(h))
         label = "log d_n / phi(n)"
     elif fam == "A_alpha":
-        estimate = math.exp(_log_digit(word[-1]) / h)
+        estimate = math.exp(math.log(word[-1]) / h)
         label = "d_n^(1/n)"
     elif fam == "B_alpha":
         try:
-            estimate = math.exp(_log_digit(word[-1]) - _log_digit(word[-2]))
+            estimate = math.exp(math.log(word[-1]) - math.log(word[-2]))
         except OverflowError:
             estimate = math.inf
         label = "d_{n+1}/d_n"
     elif fam == "F_alpha":
-        den = _log_digit(word[-2])
-        estimate = math.inf if den == 0 else _log_digit(word[-1]) / den
+        den = math.log(word[-2])
+        estimate = math.inf if den == 0 else math.log(word[-1]) / den
         label = "log d_{n+1}/log d_n"
     elif fam == "C_psi_beta":
         psi: GrowthProfile = p["psi"]
-        estimate = (_log_digit(word[-1]) - h) / float(psi.mp_value(h))
+        estimate = (math.log(word[-1]) - h) / float(psi.mp_value(h))
         label = "(log d_n - n)/psi(n)"
     elif fam == "E_alpha_beta":
-        estimate = (_log_digit(word[-1]) - h) / math.pow(h, float(p["alpha"]))
+        estimate = (math.log(word[-1]) - h) / math.pow(h, float(p["alpha"]))
         label = "(log d_n - n)/n^alpha"
     else:  # L_beta
-        estimate = (_log_digit(word[-1]) - h) / math.sqrt(2 * h * math.log(math.log(h)))
+        estimate = (math.log(word[-1]) - h) / math.sqrt(2 * h * math.log(math.log(h)))
         label = "(log d_n - n)/sqrt(2n log log n)"
     emptiness = emptiness_check(spec)
     violated = emptiness.empty and emptiness.status == "proven"

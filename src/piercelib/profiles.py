@@ -560,31 +560,43 @@ def _pair_conditions(l: GrowthProfile, r: GrowthProfile, n: int) -> str | None:
     Checks use rows n and n+1: (i) r(n)-l(n) >= 2; (ii) 2l(n+1)-r(n+1) >= 1;
     (iii) l(n+1) >= r(n).
     """
-    # (i): r(n) >= l(n) + 2, phrased through the difference profile directly
-    if not _ge_diff(r, n, l, n, Fraction(2)):
+    # ">=" conditions: a tie holds; an undecided one is not certified, so it fails
+    if certified_compare(((1, r, n), (-1, l, n)), 2) not in (0, 1):
         return "(i) r(n) - l(n) >= 2"
-    if not _ge_diff(l, n + 1, r, n + 1, Fraction(1), lhs_scale=2):
+    if certified_compare(((2, l, n + 1), (-1, r, n + 1)), 1) not in (0, 1):
         return "(ii) 2*l(n+1) - r(n+1) >= 1"
-    if not _ge_diff(l, n + 1, r, n, Fraction(0)):
+    if certified_compare(((1, l, n + 1), (-1, r, n))) not in (0, 1):
         return "(iii) l(n+1) >= r(n)"
     return None
 
 
-def _ge_diff(a: GrowthProfile, an: int, b: GrowthProfile, bn: int, margin: Fraction, *, lhs_scale: int = 1) -> bool:
-    """Certified lhs_scale*a(an) - b(bn) >= margin."""
-    av, bv = a.value(an), b.value(bn)
-    if av is not None and bv is not None:
-        return lhs_scale * av - bv >= margin
+def certified_compare(terms: tuple[tuple[int, GrowthProfile, int], ...], const: int | Fraction = 0) -> int | None:
+    """Sign of sum(c * h(n) for c, h, n in terms) - const: -1, 0 or +1, exact
+    when every h(n) is rational and certified by interval arithmetic otherwise,
+    or None when undecided at the precision ceiling.  Callers state how they
+    read a tie (0) and an undecided comparison (None)."""
+    # unit coefficients skip their multiplication: this runs once per checked row
+    total = -const
+    for c, h, n in terms:
+        v = h.value(n)
+        if v is None:
+            break
+        total += v if c == 1 else c * v
+    else:
+        num = total.numerator  # the denominator is positive
+        return (num > 0) - (num < 0)
+
     def diff(iv):
-        return (
-            iv.mpf(lhs_scale) * a.iv_value(an, iv)
-            - b.iv_value(bn, iv)
-            - iv_from_fraction(iv, margin)
-        )
+        total = iv_from_fraction(iv, Fraction(-const))
+        for c, h, n in terms:
+            v = h.iv_value(n, iv)
+            total += v if c == 1 else c * v
+        return total
+
     try:
-        return certified_sign(diff) >= 0
+        return certified_sign(diff)
     except PrecisionError:
-        return True
+        return None
 
 
 def find_threshold(l: GrowthProfile, r: GrowthProfile, n_limit: int) -> int:
@@ -605,22 +617,15 @@ def find_threshold(l: GrowthProfile, r: GrowthProfile, n_limit: int) -> int:
     last_bad = max(failures) if failures else 0
     start = max(last_bad, l.min_index - 1)
     for k in range(start, n_limit):
-        if not _ge_diff(l, k + 1, _CONST_ZERO, 1, Fraction(2 * (k + 1))):
+        # splice checks are ">=": a tie holds; undecided is not certified, so it fails
+        if certified_compare(((1, l, k + 1),), 2 * (k + 1)) not in (0, 1):
             continue
-        if k >= 1 and not _ge_diff(l, k + 1, r, k + 1, Fraction(1), lhs_scale=2):
+        if k >= 1 and certified_compare(((2, l, k + 1), (-1, r, k + 1)), 1) not in (0, 1):
             continue
         return k
     if failures:
-        return _raise_last(failures, n_limit)
+        raise ThresholdNotFound(failures[last_bad], last_bad, n_limit)
     raise ThresholdNotFound("splice l(K+1) >= 2(K+1)", n_limit, n_limit)
-
-
-def _raise_last(failures: dict[int, str], n_limit: int) -> int:
-    level = max(failures)
-    raise ThresholdNotFound(failures[level], level, n_limit)
-
-
-_CONST_ZERO = table_profile([0])  # placeholder rhs for constant comparisons
 
 
 def bounds_from_scale(u: GrowthProfile, window: int = DEFAULT_WINDOW) -> BoundsProfile:
@@ -630,10 +635,8 @@ def bounds_from_scale(u: GrowthProfile, window: int = DEFAULT_WINDOW) -> BoundsP
     admissibility conditions then hold with r(n) - l(n) = u(n).
     """
     for n in range(u.min_index, window + 1):
-        if not _ge_diff(u, n, _CONST_ZERO, 1, Fraction(2)):
-            raise ProfileError(f"scale profile fails u(n) >= 2 at n={n}")
-        if not _ge_diff(u, n + 1, u, n, Fraction(0)):
-            raise ProfileError(f"scale profile fails u(n+1) >= u(n) at n={n}")
+        _require_scale(certified_compare(((1, u, n),), 2), "u(n) >= 2", n)
+        _require_scale(certified_compare(((1, u, n + 1), (-1, u, n))), "u(n+1) >= u(n)", n)
     return BoundsProfile(
         l=index_scaled_profile(u, 0, label="n*u(n)"),
         r=index_scaled_profile(u, 1, label="(n+1)*u(n)"),
@@ -642,6 +645,14 @@ def bounds_from_scale(u: GrowthProfile, window: int = DEFAULT_WINDOW) -> BoundsP
         analytic=dict(u.analytic),
         scale=u,
     )
+
+
+def _require_scale(sign: int | None, condition: str, n: int) -> None:
+    """A tie meets a ">=" scale condition; an undecided one is an error, not a pass."""
+    if sign is None:
+        raise ProfileError(f"scale profile: {condition} undecided at n={n}")
+    if sign < 0:
+        raise ProfileError(f"scale profile fails {condition} at n={n}")
 
 
 def check_deviation_scale(psi: GrowthProfile, window: int = DEFAULT_WINDOW) -> dict[str, Any]:

@@ -22,8 +22,10 @@ from piercelib.profiles import (
     affine_profile,
     bounds_from_scale,
     builtin_profiles,
+    exp_of_profile,
     exponential_profile,
     lil_profile,
+    linear_log_profile,
     log_profile,
     power_profile,
     table_profile,
@@ -174,6 +176,17 @@ def test_membership_s_generic_pinch():
     assert membership(spec, _geometric_word(3, 5), 5).satisfied_so_far
     assert membership(spec, (1, 2, 3), 3).violated  # 2 <= 2*1 fails strictness
     assert membership(spec, (1, 5), 2).violated  # 5 > 4*1
+
+
+def test_membership_s_generic_undecided_tie():
+    # h1(1) = exp(log 2) ties h2(2) = 2 exactly, which no enclosure can decide
+    spec = SetSpec(
+        "S_generic",
+        {"m": 1, "h1": exp_of_profile(linear_log_profile(2)), "h2": affine_profile(1)},
+    )
+    result = membership(spec, (1, 2), 2)
+    assert not result.satisfied_so_far and not result.violated
+    assert "undecided" in result.detail
 
 
 def test_membership_limit_families():

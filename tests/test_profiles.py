@@ -1,13 +1,17 @@
 """Growth profiles, bounds profiles, and splice-threshold search."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piercelib._precision import PrecisionError, certified_floor
+import piercelib
+from piercelib._precision import PrecisionError, certified_floor, certified_sign
 from piercelib.profiles import (
     BoundsProfile,
     GrowthProfile,
@@ -16,17 +20,24 @@ from piercelib.profiles import (
     affine_profile,
     bounds_from_scale,
     builtin_profiles,
+    certified_compare,
     check_deviation_scale,
     deviation_bounds,
+    exp_of_profile,
     exponential_profile,
     find_threshold,
     lil_profile,
+    linear_log_profile,
     log_profile,
     oscillating_ratio_word,
+    piecewise_profile,
     power_profile,
     sqrt_profile,
     table_profile,
 )
+
+# u(n) = 2^n computed as exp(n log 2): every finite enclosure of u(1) straddles 2
+TWO_POW_THROUGH_EXP = exp_of_profile(linear_log_profile(2))
 
 
 def test_builtin_catalog():
@@ -161,3 +172,98 @@ def test_certified_floor_refuses_exact_integer_boundary():
     # the integer, so no precision can certify its floor
     with pytest.raises(PrecisionError):
         certified_floor(lambda iv: iv.log(iv.exp(iv.mpf(1))))
+
+
+def test_certified_sign_decides_at_the_ceiling():
+    # the benchmark ladder's top rung: exp(sqrt(m)) against a dyadic with
+    # 3*2^14 fractional bits just below it, undecided at 2^15 bits
+    m, frac = 2, 3 * (1 << 14)
+    with mpmath.workprec(frac + 256):
+        f = int(mpmath.floor(mpmath.exp(mpmath.sqrt(m)) * mpmath.mpf(2) ** frac))
+    precs = []
+
+    def expr(iv):
+        precs.append(iv.prec)
+        return iv.exp(iv.sqrt(iv.mpf(m))) - iv.mpf(f - 1) / iv.mpf(1 << frac)
+
+    assert certified_sign(expr) == 1
+    assert precs[-1] == 1 << 16
+
+
+def test_certified_sign_point_zero_is_decided_at_once():
+    precs = []
+
+    def zero(iv):
+        precs.append(iv.prec)
+        return iv.mpf(0)
+
+    assert certified_sign(zero) == 0
+    assert precs == [128]
+
+
+def test_certified_compare_outcomes():
+    even = affine_profile(2)
+    assert [certified_compare(((1, even, 3),), c) for c in (5, 6, 7)] == [1, 0, -1]
+    # 2*sqrt(2) - 2 = 0.83 on the interval path
+    root = ((2, sqrt_profile(), 2), (-1, even, 1))
+    assert [certified_compare(root, c) for c in (0, 1)] == [1, -1]
+    # sqrt(1) + 1 through exp(log(1)/2) is the exact point 2
+    assert certified_compare(((1, power_profile(Fraction(1, 2), shift=1), 1),), 2) == 0
+    assert certified_compare(((1, TWO_POW_THROUGH_EXP, 1),), 2) is None
+
+
+def test_bounds_from_scale_accepts_certified_zero_tie():
+    # u(1) >= 2 is the point zero exp(0) - 1, so the tie holds at once
+    bounds = bounds_from_scale(power_profile(Fraction(1, 2), shift=1), window=8)
+    assert bounds.digit_range(1) == (3, 4)
+
+
+def test_bounds_from_scale_reports_undecided():
+    with pytest.raises(ProfileError, match="undecided at n=1"):
+        bounds_from_scale(TWO_POW_THROUGH_EXP, window=8)
+
+
+def test_find_threshold_counts_undecided_as_failure():
+    # r(1) = exp(log 4) = 4 ties (i) r(1) - l(1) >= 2; (ii) and (iii) hold
+    l = table_profile([2, 5])
+    r = piecewise_profile(1, exp_of_profile(linear_log_profile(4)), affine_profile(2, 2))
+    with pytest.raises(ThresholdNotFound) as err:
+        find_threshold(l, r, 1)
+    assert err.value.condition.startswith("(i)")
+    assert err.value.level == 1
+
+
+_CATCHES_PRECISION_ERROR = {"PrecisionError", "ArithmeticError", "Exception", "BaseException"}
+
+
+def _precision_handlers(source: str) -> list[str]:
+    """Innermost enclosing function of each except clause that catches PrecisionError."""
+    found = []
+
+    def caught(handler: ast.ExceptHandler) -> set[str]:
+        if handler.type is None:
+            return {"BaseException"}
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return {getattr(t, "attr", getattr(t, "id", None)) for t in types}
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and caught(child) & _CATCHES_PRECISION_ERROR:
+                found.append(func)
+            is_func = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_func else func)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_precision_error_caught_only_by_compare_helper_and_cli_main():
+    # any other handler could resolve an undecided comparison silently
+    planted = "def f():\n    try:\n        pass\n    except (ValueError, _precision.PrecisionError):\n        pass\n"
+    assert _precision_handlers(planted) == ["f"]
+    found = sorted(
+        f"{path.stem}.{func}"
+        for path in Path(piercelib.__file__).parent.glob("*.py")
+        for func in _precision_handlers(path.read_text(encoding="utf-8"))
+    )
+    assert found == ["cli.main", "profiles.certified_compare"]
