@@ -12,7 +12,6 @@ answer is raised, never resolved.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable
 
 import mpmath
@@ -85,7 +84,3 @@ def certified_sign(
     """
     return _escalate(expr, start_bits, _sign_of, "sign")
 
-
-def iv_from_fraction(iv: mpmath.ctx_iv.MPIntervalContext, q: Fraction):
-    """Tight interval enclosure of an exact rational."""
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)

@@ -19,7 +19,8 @@ from .profiles import (
     DEFAULT_WINDOW,
     BoundsProfile,
     GrowthProfile,
-    _encode_tag,
+    _decode,
+    _encode,
     affine_profile,
     certified_compare,
     exp_of_profile,
@@ -65,7 +66,7 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
 def _enc(v: Any) -> Any:
     if isinstance(v, GrowthProfile) or isinstance(v, BoundsProfile):
         return v.to_dict()
-    return _encode_tag(v)
+    return _encode(v)
 
 
 def _dec(key: str, v: Any) -> Any:
@@ -73,14 +74,7 @@ def _dec(key: str, v: Any) -> Any:
         return BoundsProfile.from_dict(v)
     if key in _PROFILE_KEYS:
         return GrowthProfile.from_dict(v)
-    if v == "inf":
-        return math.inf
-    if v == "-inf":
-        return -math.inf
-    if isinstance(v, str) and "/" in v:
-        num, den = v.split("/", 1)
-        return Fraction(int(num), int(den))
-    return v
+    return _decode(v)
 
 
 @dataclass(frozen=True)

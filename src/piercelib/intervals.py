@@ -15,11 +15,7 @@ from fractions import Fraction
 import mpmath
 
 from .expansion import _fold, bump_last, digit_product, evaluate, is_admissible
-from .profiles import BoundsProfile
-
-
-def _fmt(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+from .profiles import BoundsProfile, _encode
 
 
 @dataclass(frozen=True)
@@ -52,7 +48,7 @@ class IntervalExact:
     def __str__(self) -> str:
         lb = "(" if self.left_open else "["
         rb = ")" if self.right_open else "]"
-        return f"{lb}{_fmt(self.left)}, {_fmt(self.right)}{rb}"
+        return f"{lb}{_encode(self.left)}, {_encode(self.right)}{rb}"
 
 
 def fundamental_interval(word: tuple[int, ...]) -> IntervalExact:

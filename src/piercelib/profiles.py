@@ -1,11 +1,13 @@
 """Growth profiles and per-level digit bounds.
 
 A growth profile is an immutable description of a positive sequence, with an
-exact-rational evaluation path where the formula allows one and certified
-high-precision paths (floor, log, interval enclosure) everywhere else.  A
-bounds profile pairs two growth profiles (l, r) and constrains digits by
-l(n) < d_n <= r(n); `find_threshold` locates the splice index beyond which the
-three admissibility conditions
+exact-rational evaluation path where the formula allows one.  Everywhere else
+one evaluator, with an overflow-safe log beside it, walks the profile kinds
+over the context it is given: `mpmath.mp` for float values and logs,
+`mpmath.iv` for interval enclosures and the certified floors and signs built
+on them.  A bounds profile pairs two growth profiles (l, r) and constrains
+digits by l(n) < d_n <= r(n); `find_threshold` locates the splice index beyond
+which the three admissibility conditions
 
     (i)   r(n) - l(n) >= 2
     (ii)  r(n+1) <= 2*l(n+1) - 1
@@ -23,7 +25,7 @@ from typing import Any
 
 import mpmath
 
-from ._precision import PrecisionError, certified_floor, certified_sign, iv_from_fraction
+from ._precision import PrecisionError, certified_floor, certified_sign
 
 DEFAULT_WINDOW = 10_000
 
@@ -53,52 +55,33 @@ def _as_exact(v: Any) -> Fraction | None:
     return None
 
 
-def _mpf(v: Any) -> mpmath.mpf:
-    """mpf conversion that also accepts exact rationals."""
+def _num(ctx, v: Any):
+    """`v` in the context `ctx` (`mpmath.mp` or `mpmath.iv`).  A Fraction's
+    numerator is divided by its int denominator, which is never rounded first."""
     if isinstance(v, Fraction):
-        return mpmath.mpf(v.numerator) / v.denominator
-    return mpmath.mpf(v)
+        return ctx.mpf(v.numerator) / v.denominator
+    return ctx.mpf(v)
 
 
-def _ivnum(iv, v: Any):
-    """Interval conversion that also accepts exact rationals."""
-    if isinstance(v, Fraction):
-        return iv_from_fraction(iv, v)
-    return iv.mpf(v)
-
-
-def _encode_value(v: Any) -> Any:
+def _encode(v: Any) -> Any:
+    """JSON form of a value: a Fraction becomes an int or "p/q", an infinite
+    float "inf" or "-inf"; anything else is returned as it is."""
     if isinstance(v, Fraction):
         return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return v
-
-
-def _decode_value(v: Any) -> Any:
-    if isinstance(v, str) and "/" in v:
-        num, den = v.split("/", 1)
-        return Fraction(int(num), int(den))
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float) and v == math.inf:
-        return math.inf
-    return v
-
-
-def _encode_tag(v: Any) -> Any:
     if isinstance(v, float) and math.isinf(v):
         return "inf" if v > 0 else "-inf"
-    if isinstance(v, Fraction):
-        return _encode_value(v)
     return v
 
 
-def _decode_tag(v: Any) -> Any:
+def _decode(v: Any) -> Any:
+    """Inverse of `_encode`; ints stay ints, and callers coerce types."""
     if v == "inf":
         return math.inf
     if v == "-inf":
         return -math.inf
-    if isinstance(v, str):
-        return float(Fraction(v))
+    if isinstance(v, str) and "/" in v:
+        num, den = v.split("/", 1)
+        return Fraction(int(num), int(den))
     return v
 
 
@@ -128,6 +111,10 @@ class GrowthProfile:
     `analytic` carries externally known limit values (keys among gamma, xi,
     theta, eta, psi_conditions) for catalog entries; user-built profiles leave
     it empty and get window estimates instead.
+
+    `value` is exact where the formula is rational; `mp_value`, `iv_value`
+    and `log_value` are one evaluator (`_eval`, `_log`) over `mpmath.mp` or
+    `mpmath.iv`.
     """
 
     kind: str
@@ -146,20 +133,16 @@ class GrowthProfile:
         """Exact value at n, or None when the formula is not rational."""
         self._check_index(n)
         k, p = self.kind, self.params
-        if k == "power":
+        if k == "power" or k == "exponential":
             a = _as_exact(p["a"])
-            coeff = _as_exact(p.get("coeff", 1))
-            shift = _as_exact(p.get("shift", 0))
-            if a is None or coeff is None or shift is None or a.denominator != 1 or a < 0:
-                return None
-            return coeff * Fraction(n) ** int(a) + shift
-        if k == "exponential":
-            a = _as_exact(p["a"])
-            coeff = _as_exact(p.get("coeff", 1))
-            shift = _as_exact(p.get("shift", 0))
+            coeff, shift = _as_exact(p.get("coeff", 1)), _as_exact(p.get("shift", 0))
             if a is None or coeff is None or shift is None:
                 return None
-            return coeff * a**n + shift
+            if k == "exponential":
+                return coeff * a**n + shift
+            if a.denominator != 1 or a < 0:
+                return None
+            return coeff * Fraction(n) ** int(a) + shift
         if k == "table":
             return Fraction(p["values"][n - 1])
         if k == "affine":
@@ -179,8 +162,7 @@ class GrowthProfile:
                 return None
             return (n + p.get("offset", 0)) * u
         if k == "piecewise":
-            branch = p["low"] if n <= p["split"] else p["high"]
-            return branch.value(n)
+            return self._branch(n).value(n)
         if k == "lil" and n <= 2:
             return Fraction(n)
         return None
@@ -189,101 +171,69 @@ class GrowthProfile:
 
     def mp_value(self, n: int) -> mpmath.mpf:
         """Value at n as an mpf under the caller's mpmath precision."""
-        self._check_index(n)
-        exact = self.value(n)
-        if exact is not None:
-            return mpmath.mpf(exact.numerator) / exact.denominator
-        k, p = self.kind, self.params
-        if k == "power":
-            return (
-                _mpf(p.get("coeff", 1)) * mpmath.power(n, _mpf(p["a"]))
-                + _mpf(p.get("shift", 0))
-            )
-        if k == "sqrt":
-            return _mpf(p.get("coeff", 1)) * mpmath.sqrt(n)
-        if k == "log":
-            return _mpf(p["coeff"]) * mpmath.log(n)
-        if k == "linear_log":
-            return n * mpmath.log(_mpf(p["a"]))
-        if k == "exponential":
-            return (
-                _mpf(p.get("coeff", 1)) * mpmath.power(_mpf(p["a"]), n)
-                + _mpf(p.get("shift", 0))
-            )
-        if k == "lil":
-            return mpmath.sqrt(2 * n * mpmath.log(mpmath.log(n)))
-        if k == "deviation":
-            return n + _mpf(p["beta"]) * p["psi"].mp_value(n)
-        if k == "index_scaled":
-            return (n + p.get("offset", 0)) * p["u"].mp_value(n)
-        if k == "exp_of":
-            return mpmath.exp(p["inner"].mp_value(n))
-        if k == "exp_of_scaled":
-            return mpmath.exp(p["inner"].mp_value(n)) * (1 + p["psi"].mp_value(n) / n)
-        if k == "piecewise":
-            branch = p["low"] if n <= p["split"] else p["high"]
-            return branch.mp_value(n)
-        raise ProfileError(f"no float path for kind {self.kind!r}")  # pragma: no cover
+        return self._eval(mpmath.mp, n)
+
+    def iv_value(self, n: int, iv) -> object:
+        """Directed-rounding interval enclosure of the value at n."""
+        return self._eval(iv, n)
 
     def log_value(self, n: int) -> mpmath.mpf:
         """Natural log of the value, computed without overflowing exponents."""
+        return self._log(mpmath.mp, n)
+
+    def _eval(self, ctx, n: int):
+        """Value at n in the context `ctx`: `mpmath.mp` rounds to nearest,
+        `mpmath.iv` encloses with directed rounding."""
+        self._check_index(n)
+        exact = self.value(n)
+        if exact is not None:
+            return _num(ctx, exact)
+        k, p = self.kind, self.params
+        if k == "power" or k == "exponential":
+            a = _num(ctx, p["a"])
+            base = ctx.power(n, a) if k == "power" else ctx.power(a, n)
+            return _num(ctx, p.get("coeff", 1)) * base + _num(ctx, p.get("shift", 0))
+        if k == "sqrt":
+            return _num(ctx, p.get("coeff", 1)) * ctx.sqrt(n)
+        if k == "log":
+            return _num(ctx, p["coeff"]) * ctx.log(n)
+        if k == "linear_log":
+            return n * ctx.log(_num(ctx, p["a"]))
+        if k == "lil":
+            return ctx.sqrt(2 * n * ctx.log(ctx.log(n)))
+        if k == "deviation":
+            return n + _num(ctx, p["beta"]) * p["psi"]._eval(ctx, n)
+        if k == "index_scaled":
+            return (n + p.get("offset", 0)) * p["u"]._eval(ctx, n)
+        if k == "exp_of":
+            return ctx.exp(p["inner"]._eval(ctx, n))
+        if k == "exp_of_scaled":
+            return ctx.exp(p["inner"]._eval(ctx, n)) * (1 + p["psi"]._eval(ctx, n) / n)
+        if k == "piecewise":
+            return self._branch(n)._eval(ctx, n)
+        raise ProfileError(f"no float path for kind {self.kind!r}")
+
+    def _log(self, ctx, n: int):
+        """Natural log of the value at n in `ctx`.  exp_of, exp_of_scaled and
+        shift-free exponential/power rows never form the value, so cannot overflow."""
         self._check_index(n)
         k, p = self.kind, self.params
         if k == "exp_of":
-            return p["inner"].mp_value(n)
+            return p["inner"]._eval(ctx, n)
         if k == "exp_of_scaled":
-            return p["inner"].mp_value(n) + mpmath.log(1 + p["psi"].mp_value(n) / n)
-        if k == "exponential" and p.get("shift", 0) == 0:
-            return mpmath.log(_mpf(p.get("coeff", 1))) + n * mpmath.log(_mpf(p["a"]))
-        if k == "power" and p.get("shift", 0) == 0:
-            return mpmath.log(_mpf(p.get("coeff", 1))) + _mpf(p["a"]) * mpmath.log(n)
+            return p["inner"]._eval(ctx, n) + ctx.log(1 + p["psi"]._eval(ctx, n) / n)
+        if (k == "exponential" or k == "power") and p.get("shift", 0) == 0:
+            a = _num(ctx, p["a"])
+            log_base = n * ctx.log(a) if k == "exponential" else a * ctx.log(n)
+            return ctx.log(_num(ctx, p.get("coeff", 1))) + log_base
         if k == "piecewise":
-            branch = p["low"] if n <= p["split"] else p["high"]
-            return branch.log_value(n)
+            return self._branch(n)._log(ctx, n)
         exact = self.value(n)
         if exact is not None:
             if exact <= 0:
                 raise ProfileError(f"log of non-positive value {exact} at n={n}")
-            return mpmath.log(mpmath.mpf(exact.numerator)) - mpmath.log(
-                mpmath.mpf(exact.denominator)
-            )
-        return mpmath.log(self.mp_value(n))
-
-    def iv_value(self, n: int, iv) -> object:
-        """Directed-rounding interval enclosure of the value at n."""
-        self._check_index(n)
-        exact = self.value(n)
-        if exact is not None:
-            return iv_from_fraction(iv, exact)
-        k, p = self.kind, self.params
-        if k == "power":
-            base = iv.exp(_ivnum(iv, p["a"]) * iv.log(iv.mpf(n)))
-            return _ivnum(iv, p.get("coeff", 1)) * base + _ivnum(iv, p.get("shift", 0))
-        if k == "sqrt":
-            return _ivnum(iv, p.get("coeff", 1)) * iv.sqrt(iv.mpf(n))
-        if k == "log":
-            return _ivnum(iv, p["coeff"]) * iv.log(iv.mpf(n))
-        if k == "linear_log":
-            return iv.mpf(n) * iv.log(_ivnum(iv, p["a"]))
-        if k == "exponential":
-            base = iv.exp(iv.mpf(n) * iv.log(_ivnum(iv, p["a"])))
-            return _ivnum(iv, p.get("coeff", 1)) * base + _ivnum(iv, p.get("shift", 0))
-        if k == "lil":
-            return iv.sqrt(2 * iv.mpf(n) * iv.log(iv.log(iv.mpf(n))))
-        if k == "deviation":
-            return iv.mpf(n) + _ivnum(iv, p["beta"]) * p["psi"].iv_value(n, iv)
-        if k == "index_scaled":
-            return iv.mpf(n + p.get("offset", 0)) * p["u"].iv_value(n, iv)
-        if k == "exp_of":
-            return iv.exp(p["inner"].iv_value(n, iv))
-        if k == "exp_of_scaled":
-            return iv.exp(p["inner"].iv_value(n, iv)) * (
-                1 + p["psi"].iv_value(n, iv) / iv.mpf(n)
-            )
-        if k == "piecewise":
-            branch = p["low"] if n <= p["split"] else p["high"]
-            return branch.iv_value(n, iv)
-        raise ProfileError(f"no interval path for kind {self.kind!r}")
+            return ctx.log(ctx.mpf(exact.numerator)) - ctx.log(ctx.mpf(exact.denominator))
+        return ctx.log(self._eval(ctx, n))
 
     def floor(self, n: int) -> int:
         """Exact integer part of the value at n (certified for irrational
@@ -292,6 +242,11 @@ class GrowthProfile:
         if exact is not None:
             return exact.numerator // exact.denominator
         return certified_floor(lambda iv: self.iv_value(n, iv))
+
+    def _branch(self, n: int) -> "GrowthProfile":
+        """The piecewise branch that holds level n."""
+        p = self.params
+        return p["low"] if n <= p["split"] else p["high"]
 
     def _check_index(self, n: int) -> None:
         if n < self.min_index:
@@ -307,11 +262,11 @@ class GrowthProfile:
             if isinstance(val, GrowthProfile):
                 out[key] = val.to_dict()
             elif key == "values":
-                out[key] = [_encode_value(Fraction(v)) for v in val]
+                out[key] = [_encode(Fraction(v)) for v in val]
             else:
-                out[key] = _encode_value(val)
+                out[key] = _encode(val)
         if self.analytic:
-            out["analytic"] = {k: _encode_tag(v) for k, v in self.analytic.items()}
+            out["analytic"] = {k: _encode(v) for k, v in self.analytic.items()}
         if self.label:
             out["label"] = self.label
         return out
@@ -329,19 +284,28 @@ class GrowthProfile:
         if kind not in _KINDS:
             raise ProfileError(f"unknown profile kind {kind!r}")
         label = data.pop("label", "")
-        analytic_raw = data.pop("analytic", None) or {}
-        analytic = {k: _decode_tag(v) for k, v in analytic_raw.items()}
+        tags = {k: _decode(v) for k, v in (data.pop("analytic", None) or {}).items()}
+        # analytic tags are floats; profile parameters stay exact
+        analytic = {
+            k: float(Fraction(v)) if isinstance(v, (str, Fraction)) else v for k, v in tags.items()
+        }
         params: dict[str, Any] = {}
         for key, val in data.items():
             if isinstance(val, dict) and "kind" in val:
                 params[key] = GrowthProfile.from_dict(val)
             elif key == "values":
-                params[key] = tuple(_decode_value(v) for v in val)
+                params[key] = tuple(_exact_param(v) for v in val)
             elif key == "split" or key == "offset":
                 params[key] = int(val)
             else:
-                params[key] = _decode_value(val)
+                params[key] = _exact_param(val)
         return _make(kind, params, analytic=analytic, label=label)
+
+
+def _exact_param(v: Any) -> Any:
+    """Decoded profile parameter, with ints read as Fractions."""
+    v = _decode(v)
+    return Fraction(v) if isinstance(v, int) else v
 
 
 def _make(kind: str, params: dict[str, Any], *, analytic=None, label="") -> GrowthProfile:
@@ -495,15 +459,9 @@ class BoundsProfile:
     analytic: dict[str, float] = field(default_factory=dict)
     scale: GrowthProfile | None = None
 
-    def floor_l(self, n: int) -> int:
-        return self.l.floor(n)
-
-    def floor_r(self, n: int) -> int:
-        return self.r.floor(n)
-
     def digit_range(self, n: int) -> tuple[int, int]:
         """Inclusive integer range of admissible digits at level n."""
-        return self.floor_l(n) + 1, self.floor_r(n)
+        return self.l.floor(n) + 1, self.r.floor(n)
 
     def branch_count(self, n: int) -> int:
         lo, hi = self.digit_range(n)
@@ -543,30 +501,39 @@ class BoundsProfile:
 
 
 class ThresholdNotFound(ValueError):
-    """No splice index validates the admissibility conditions."""
+    """No splice index validates the admissibility conditions.
 
-    def __init__(self, condition: str, level: int, n_limit: int):
+    `undecided` is True when the last failing condition was not decided
+    false but stayed undecided at the precision ceiling (an exact
+    transcendental tie, say)."""
+
+    def __init__(self, condition: str, level: int, n_limit: int, undecided: bool = False):
         self.condition = condition
         self.level = level
         self.n_limit = n_limit
+        self.undecided = undecided
+        outcome = "is undecided" if undecided else "still fails"
         super().__init__(
-            f"no threshold K <= {n_limit}: condition {condition} still fails at level {level}"
+            f"no threshold K <= {n_limit}: condition {condition} {outcome} at level {level}"
         )
 
 
-def _pair_conditions(l: GrowthProfile, r: GrowthProfile, n: int) -> str | None:
-    """Name of the first admissibility condition failing at pair n, or None.
+def _pair_conditions(l: GrowthProfile, r: GrowthProfile, n: int) -> tuple[str, bool] | None:
+    """First admissibility condition not certified at pair n, with True when
+    it was undecided rather than decided false; None when all three hold.
 
     Checks use rows n and n+1: (i) r(n)-l(n) >= 2; (ii) 2l(n+1)-r(n+1) >= 1;
     (iii) l(n+1) >= r(n).
     """
     # ">=" conditions: a tie holds; an undecided one is not certified, so it fails
-    if certified_compare(((1, r, n), (-1, l, n)), 2) not in (0, 1):
-        return "(i) r(n) - l(n) >= 2"
-    if certified_compare(((2, l, n + 1), (-1, r, n + 1)), 1) not in (0, 1):
-        return "(ii) 2*l(n+1) - r(n+1) >= 1"
-    if certified_compare(((1, l, n + 1), (-1, r, n))) not in (0, 1):
-        return "(iii) l(n+1) >= r(n)"
+    for name, terms, const in (
+        ("(i) r(n) - l(n) >= 2", ((1, r, n), (-1, l, n)), 2),
+        ("(ii) 2*l(n+1) - r(n+1) >= 1", ((2, l, n + 1), (-1, r, n + 1)), 1),
+        ("(iii) l(n+1) >= r(n)", ((1, l, n + 1), (-1, r, n)), 0),
+    ):
+        sign = certified_compare(terms, const)
+        if sign is None or sign < 0:
+            return name, sign is None
     return None
 
 
@@ -587,7 +554,7 @@ def certified_compare(terms: tuple[tuple[int, GrowthProfile, int], ...], const: 
         return (num > 0) - (num < 0)
 
     def diff(iv):
-        total = iv_from_fraction(iv, Fraction(-const))
+        total = _num(iv, -const)
         for c, h, n in terms:
             v = h.iv_value(n, iv)
             total += v if c == 1 else c * v
@@ -605,11 +572,12 @@ def find_threshold(l: GrowthProfile, r: GrowthProfile, n_limit: int) -> int:
     K >= 1) the first unspliced row keeps the doubling margin
     2*l(K+1) - r(K+1) >= 1 so a 2n/2(n+1) prefix remains valid in front.
 
-    Raises ThresholdNotFound naming the condition that fails last.
+    Raises ThresholdNotFound naming the condition that fails last and
+    whether it was decided false or left undecided.
     """
     if n_limit < 1:
         raise ProfileError("n_limit must be >= 1")
-    failures: dict[int, str] = {}
+    failures: dict[int, tuple[str, bool]] = {}
     for n in range(max(1, l.min_index), n_limit + 1):
         bad = _pair_conditions(l, r, n)
         if bad is not None:
@@ -624,7 +592,8 @@ def find_threshold(l: GrowthProfile, r: GrowthProfile, n_limit: int) -> int:
             continue
         return k
     if failures:
-        raise ThresholdNotFound(failures[last_bad], last_bad, n_limit)
+        condition, undecided = failures[last_bad]
+        raise ThresholdNotFound(condition, last_bad, n_limit, undecided)
     raise ThresholdNotFound("splice l(K+1) >= 2(K+1)", n_limit, n_limit)
 
 

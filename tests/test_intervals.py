@@ -40,6 +40,7 @@ def test_single_digit_interval():
     assert (iv.left, iv.right) == (Fraction(1, 3), Fraction(1, 2))
     assert iv.left_open and not iv.right_open
     assert str(iv) == "(1/3, 1/2]"
+    assert str(fundamental_interval((1,))) == "(1/2, 1]"
     assert iv.length == Fraction(1, 6)
 
 

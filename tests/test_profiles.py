@@ -1,6 +1,7 @@
 """Growth profiles, bounds profiles, and splice-threshold search."""
 
 import ast
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 import piercelib
 from piercelib._precision import PrecisionError, certified_floor, certified_sign
 from piercelib.profiles import (
+    _decode,
+    _encode,
     BoundsProfile,
     GrowthProfile,
     ProfileError,
@@ -88,6 +91,22 @@ def test_profile_dict_round_trip():
             if n < p.min_index:
                 continue
             assert q.value(n) == p.value(n)
+    assert json.dumps(builtin_profiles()["half_cube"].to_dict()) == (
+        '{"kind": "power", "a": 3, "coeff": "1/2", "shift": 0, '
+        '"analytic": {"gamma": "inf", "xi": 0.0}, "label": "half_cube"}'
+    )
+
+
+@given(
+    st.one_of(
+        st.fractions(),
+        st.integers(),
+        st.floats(allow_nan=False),
+        st.sampled_from([math.inf, -math.inf]),
+    )
+)
+def test_codec_round_trip(v):
+    assert _decode(_encode(v)) == v
 
 
 def test_log_profile_auto_gamma():
@@ -126,6 +145,7 @@ def test_find_threshold_too_tight():
     with pytest.raises(ThresholdNotFound) as err:
         find_threshold(l, r, 50)
     assert "width" in str(err.value) or "(i)" in str(err.value)
+    assert err.value.undecided is False
 
 
 def test_find_threshold_scale_window():
@@ -231,6 +251,8 @@ def test_find_threshold_counts_undecided_as_failure():
         find_threshold(l, r, 1)
     assert err.value.condition.startswith("(i)")
     assert err.value.level == 1
+    assert err.value.undecided is True
+    assert "undecided" in str(err.value)
 
 
 _CATCHES_PRECISION_ERROR = {"PrecisionError", "ArithmeticError", "Exception", "BaseException"}
