@@ -190,26 +190,18 @@ def cmd_dim(args) -> int:
         except (ProfileError, ValueError) as exc:
             notes["bounds"] = f"unavailable: {exc}"
     if bounds is not None:
-        estimate = dimension_bound_sequences(
-            bounds, args.n_max, precision_bits=args.precision_bits
-        )
+        bits = args.precision_bits
+        estimate = dimension_bound_sequences(bounds, args.n_max, bits)
         rows += _ratio_rows(estimate.lower_seq, "lower")
         rows += _ratio_rows(estimate.upper_seq, "upper")
-        for kind, fn in (("box", box_ratio_sequence), ("gap", gap_ratio_sequence)):
-            try:
-                if kind == "box":
-                    pts = fn(
-                        bounds,
-                        args.n_max,
-                        precision_bits=args.precision_bits,
-                        enum_cap=args.enum_cap,
-                    )
-                else:
-                    pts = fn(bounds, args.n_max, precision_bits=args.precision_bits)
-            except (ValueError, ProfileError) as exc:
-                notes[f"{kind}_sequence"] = f"unavailable: {exc}"
-            else:
-                rows += _ratio_rows(pts, kind)
+        try:
+            rows += _ratio_rows(box_ratio_sequence(bounds, args.n_max, bits, args.enum_cap), "box")
+        except (ValueError, ProfileError) as exc:
+            notes["box_sequence"] = f"unavailable: {exc}"
+        try:
+            rows += _ratio_rows(gap_ratio_sequence(bounds, args.n_max, bits), "gap")
+        except (ValueError, ProfileError) as exc:
+            notes["gap_sequence"] = f"unavailable: {exc}"
     elif spec.family == "E_phi" and not report.empty and report.status != "refused":
         epsilon = 0.01
         phi = spec.params["profile"]
@@ -285,37 +277,39 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, n_max_default):
+    def common(p, **int_options):
+        """--seed, --out and --format, plus the integer options the subcommand
+        reads, given as dest=default."""
         p.add_argument("--seed", type=int, default=0, help="PRNG seed")
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--n-max", type=int, default=n_max_default, dest="n_max")
-        p.add_argument("--count", type=int, default=1000)
-        p.add_argument(
-            "--precision-bits", type=int, default=DEFAULT_PRECISION_BITS,
-            dest="precision_bits",
-        )
-        p.add_argument("--enum-cap", type=int, default=4096, dest="enum_cap")
-        p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+        for dest, default in int_options.items():
+            p.add_argument("--" + dest.replace("_", "-"), type=int, default=default, dest=dest)
 
     p_expand = sub.add_parser("expand", help="digits of a rational in (0, 1]")
     p_expand.add_argument("rational", help='rational like "7/9"')
-    common(p_expand, None)
+    common(p_expand, n_max=None)
     p_expand.set_defaults(func=cmd_expand)
 
     p_interval = sub.add_parser("interval", help="cylinder interval of a word")
     p_interval.add_argument("word", help='comma list like "1,3"')
-    common(p_interval, None)
+    common(p_interval)
     p_interval.set_defaults(func=cmd_interval)
 
     p_dim = sub.add_parser("dim", help="dimension report for a set spec")
     p_dim.add_argument("spec", help="SetSpec JSON text or path to a JSON file")
-    common(p_dim, 40)
+    common(
+        p_dim,
+        n_max=40,
+        precision_bits=DEFAULT_PRECISION_BITS,
+        enum_cap=4096,
+        window=DEFAULT_WINDOW,
+    )
     p_dim.set_defaults(func=cmd_dim)
 
     p_law = sub.add_parser("law", help="Monte Carlo law experiment")
     p_law.add_argument("law", choices=("lln", "clt", "lil"))
-    common(p_law, 200)
+    common(p_law, n_max=200, count=1000)
     p_law.set_defaults(func=cmd_law)
     return parser
 

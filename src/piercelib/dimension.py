@@ -6,6 +6,13 @@ any fixed-width float, but their logs accumulate stably.  Limit quantities
 (gamma, xi, theta, eta) are only ever reported as windowed min/max/last
 triples; the analytic dimension table consumes either stated limits or
 window estimates that pass a stabilization check, and refuses otherwise.
+Parameter-region families take their empty regions from
+`families.emptiness_check`.
+
+The ratio sequences (lower, upper, box, gap) and the two cover chains are
+closed formulas over columns of bound rows (log r_k, log l_k, log Delta_k,
+log m_k or phi(k)), each row evaluated once per call, on the rows its formula
+reads; prefix sums start from a row 0 of 0, so they add in running-total order.
 """
 
 from __future__ import annotations
@@ -13,13 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from itertools import accumulate
 
 import mpmath
 
 from ._precision import DEFAULT_PRECISION_BITS, certified_floor
 from .expansion import is_admissible
-from .families import SetSpec, count_constrained_words, enumerate_constrained_words
+from .families import SetSpec, count_constrained_words, emptiness_check, enumerate_constrained_words
 from .intervals import family_basic_interval
 from .profiles import (
     DEFAULT_WINDOW,
@@ -56,12 +63,33 @@ class LimitEstimate:
         return self.summary["last"]
 
 
-def _point(n: int, num, den) -> RatioPoint | None:
-    """RatioPoint with the positivity invariant on the denominator."""
-    den_f = float(den)
-    if den_f <= 0:
-        return None
-    return RatioPoint(n, float(num), den_f, float(num / den))
+def _column(f, last: int, first: int = 1) -> list:
+    """One bound row per level, [0, .., 0, f(first), .., f(last)], evaluated
+    once under the caller's mpmath precision.  Row 0 starts the prefix sums;
+    rows below `first` are not read from f and hold 0."""
+    return [mpmath.mpf(0)] * first + [f(k) for k in range(first, last + 1)]
+
+
+def _log_counts(bounds: BoundsProfile, last: int, least: int, message: str) -> list:
+    """Column of log m_k over the branch counts m_k, each at least `least`."""
+
+    def log_count(k: int):
+        m = bounds.branch_count(k)
+        if m < least:
+            raise ValueError(message.format(k))
+        return mpmath.log(m)
+
+    return _column(log_count, last)
+
+
+def _points(levels, num, den) -> list[RatioPoint]:
+    """RatioPoint(n, num[n], den[n]) for each level whose denominator (a log
+    inverse diameter) is positive."""
+    return [
+        RatioPoint(n, float(num[n]), float(den[n]), float(num[n] / den[n]))
+        for n in levels
+        if float(den[n]) > 0
+    ]
 
 
 # -- closed-form bound sequences ----------------------------------------------
@@ -78,41 +106,26 @@ def dimension_bound_sequences(
       upper(n) = log(prod_{k<=n} Delta_k)
                  / log((r_{n+1}/Delta_{n+1}) prod_{k<=n+1} l_k)
 
-    No enumeration; pure log sums of the bound rows.
+    No enumeration; pure log sums of the bound rows 1..n_max+2.
     """
     k0 = bounds.threshold
     if n_max < k0 + 2:
         raise ValueError(f"n_max must be >= threshold + 2 = {k0 + 2}")
-    lower_seq: list[RatioPoint] = []
-    upper_seq: list[RatioPoint] = []
     with mpmath.workprec(precision_bits):
-        log_delta = [mpmath.mpf(0)] * (n_max + 3)
-        log_r = [mpmath.mpf(0)] * (n_max + 3)
-        log_l = [mpmath.mpf(0)] * (n_max + 3)
-        for k in range(1, n_max + 3):
-            log_delta[k] = bounds.log_delta(k)
-            log_r[k] = bounds.r.log_value(k)
-            log_l[k] = bounds.l.log_value(k)
-        num = mpmath.mpf(0)
-        sum_log_r = log_r[1]
-        sum_log_l = log_l[1]
-        for n in range(1, n_max + 1):
-            num += log_delta[n]
-            sum_log_r += log_r[n + 1]
-            sum_log_l += log_l[n + 1]
-            if n <= k0:
-                continue
-            den_lower = (
-                sum_log_r + log_r[n + 1] + log_r[n + 2] - log_delta[n + 1] - log_delta[n + 2]
-            )
-            den_upper = sum_log_l + log_r[n + 1] - log_delta[n + 1]
-            lo = _point(n, num, den_lower)
-            hi = _point(n, num, den_upper)
-            if lo is not None:
-                lower_seq.append(lo)
-            if hi is not None:
-                upper_seq.append(hi)
-    return DimensionEstimate(lower_seq=lower_seq, upper_seq=upper_seq)
+        log_delta = _column(bounds.log_delta, n_max + 2)
+        log_r = _column(bounds.r.log_value, n_max + 2)
+        log_l = _column(bounds.l.log_value, n_max + 2)
+        sum_delta, sum_r, sum_l = (list(accumulate(c)) for c in (log_delta, log_r, log_l))
+        levels = range(k0 + 1, n_max + 1)
+        den_lower = {
+            n: sum_r[n + 1] + log_r[n + 1] + log_r[n + 2] - log_delta[n + 1] - log_delta[n + 2]
+            for n in levels
+        }
+        den_upper = {n: sum_l[n + 1] + log_r[n + 1] - log_delta[n + 1] for n in levels}
+        return DimensionEstimate(
+            lower_seq=_points(levels, sum_delta, den_lower),
+            upper_seq=_points(levels, sum_delta, den_upper),
+        )
 
 
 def box_ratio_sequence(
@@ -122,49 +135,37 @@ def box_ratio_sequence(
     enum_cap: int = 4096,
 ) -> list[RatioPoint]:
     """Box-counting upper-bound ratios: exact cover counts against the
-    diameter bound diam <= 2 (prod_{k<=n+1} 1/l_k) Delta_{n+1}/r_{n+1}.
+    diameter bound diam <= 2 (prod_{k<=n+1} 1/l_k) Delta_{n+1}/r_{n+1}, from
+    the counts at rows 1..n_max, l at rows 1..n_max+1, and r and Delta at
+    rows 2..n_max+1.
 
     Where enumeration is cheap and the bound rows are exact rationals, the
-    true maximal diameter is computed exactly and checked against the bound.
+    true maximal diameter at levels n <= 4 is computed exactly and checked
+    against the bound.
     """
-    points: list[RatioPoint] = []
     with mpmath.workprec(precision_bits):
-        log_count = mpmath.mpf(0)
-        sum_log_l = bounds.l.log_value(1)
-        for n in range(1, n_max + 1):
-            m = bounds.branch_count(n)
-            if m < 1:
-                raise ValueError(f"digit window closes at level {n}")
-            log_count += mpmath.log(m)
-            sum_log_l += bounds.l.log_value(n + 1)
-            log_inv = (
-                -mpmath.log(2)
-                + sum_log_l
-                + bounds.r.log_value(n + 1)
-                - bounds.log_delta(n + 1)
-            )
-            if n <= bounds.threshold:
-                continue
+        log_m = _log_counts(bounds, n_max, 1, "digit window closes at level {}")
+        log_l = _column(bounds.l.log_value, n_max + 1)
+        log_r = _column(bounds.r.log_value, n_max + 1, first=2)
+        log_delta = _column(bounds.log_delta, n_max + 1, first=2)
+        for n in range(bounds.threshold + 1, min(n_max, 4) + 1):
             _assert_diameter_bound(bounds, n, enum_cap)
-            pt = _point(n, log_count, log_inv)
-            if pt is not None:
-                points.append(pt)
-    return points
+        sum_m, sum_l = list(accumulate(log_m)), list(accumulate(log_l))
+        levels = range(bounds.threshold + 1, n_max + 1)
+        log_two = mpmath.log(2)
+        log_inv = {n: -log_two + sum_l[n + 1] + log_r[n + 1] - log_delta[n + 1] for n in levels}
+        return _points(levels, sum_m, log_inv)
 
 
 def _assert_diameter_bound(bounds: BoundsProfile, n: int, enum_cap: int) -> None:
-    """At small levels with exact rational rows, check the true max diameter
-    of the level-n basic intervals against the closed-form bound."""
-    if n > 4:
-        return
+    """With exact rational rows, check the true max diameter of the level-n
+    basic intervals against the closed-form bound."""
     values = [(bounds.l.value(k), bounds.r.value(k)) for k in range(1, n + 2)]
     if any(lv is None or rv is None for lv, rv in values):
         return
     if count_constrained_words(n, bounds) > enum_cap:
         return
-    prod_l = Fraction(1)
-    for lv, _ in values:
-        prod_l *= lv
+    prod_l = math.prod(lv for lv, _ in values)
     l_next, r_next = values[-1]
     bound = 2 * (r_next - l_next) / (prod_l * r_next)
     worst = max(
@@ -172,54 +173,41 @@ def _assert_diameter_bound(bounds: BoundsProfile, n: int, enum_cap: int) -> None
         for word in enumerate_constrained_words(n, bounds, cap=enum_cap)
     )
     if worst > bound:
-        raise AssertionError(
-            f"diameter bound violated at level {n}: {worst} > {bound}"
-        )
+        raise AssertionError(f"diameter bound violated at level {n}: {worst} > {bound}")
 
 
 def gap_ratio_sequence(
     bounds: BoundsProfile, n_max: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> list[RatioPoint]:
     """Gap-based lower-bound ratios log(prod_{k<=n} m_k) /
-    log(1/(m_{n+1} eps_{n+1})), with the per-level gap bound eps computed in
-    log space.  Requires at least two digit choices per level beyond the
-    threshold and strictly shrinking eps."""
+    log(1/(m_{n+1} eps_{n+1})), with the per-level gap bound
+
+      log eps_{n+1} = -log 2 - sum_{k<=n} log r_k - 2 log r_{n+1} - log r_{n+2}
+                      + log Delta_{n+2}
+
+    from the counts at rows 1..n_max+1, r at rows 1..n_max+2 and Delta at
+    rows 3..n_max+2 (log l is never taken: l_k = 0 is a legal bound).
+    Requires at least two digit choices per level and strictly shrinking eps
+    beyond the threshold."""
     k0 = bounds.threshold
     if n_max < k0 + 1:
         raise ValueError(f"n_max must be >= threshold + 1 = {k0 + 1}")
-    points: list[RatioPoint] = []
     with mpmath.workprec(precision_bits):
-        counts = []
-        for k in range(1, n_max + 2):
-            m = bounds.branch_count(k)
-            if m < 2:
-                raise ValueError(f"fewer than 2 digit choices at level {k}")
-            counts.append(m)
-        sum_log_r = mpmath.mpf(0)
-        log_count = mpmath.mpf(0)
-        prev_log_eps = None
-        for n in range(1, n_max + 1):
-            sum_log_r += bounds.r.log_value(n)
-            log_count += mpmath.log(counts[n - 1])
-            # eps at level n+1 needs rows through n+2
-            log_eps = (
-                -mpmath.log(2)
-                - sum_log_r
-                - bounds.r.log_value(n + 1)
-                - bounds.r.log_value(n + 1)
-                - bounds.r.log_value(n + 2)
-                + bounds.log_delta(n + 2)
-            )
-            if n <= k0:
-                continue
-            if prev_log_eps is not None and not log_eps < prev_log_eps:
+        log_m = _log_counts(bounds, n_max + 1, 2, "fewer than 2 digit choices at level {}")
+        log_r = _column(bounds.r.log_value, n_max + 2)
+        log_delta = _column(bounds.log_delta, n_max + 2, first=3)
+        sum_m, sum_r = list(accumulate(log_m)), list(accumulate(log_r))
+        levels = range(k0 + 1, n_max + 1)
+        log_two = mpmath.log(2)
+        log_eps = {
+            n: -log_two - sum_r[n] - log_r[n + 1] - log_r[n + 1] - log_r[n + 2] + log_delta[n + 2]
+            for n in levels
+        }
+        for n in levels[1:]:
+            if not log_eps[n] < log_eps[n - 1]:
                 raise ValueError(f"gap bound fails to shrink at level {n + 1}")
-            prev_log_eps = log_eps
-            log_inv = -(mpmath.log(counts[n]) + log_eps)
-            pt = _point(n, log_count, log_inv)
-            if pt is not None:
-                points.append(pt)
-    return points
+        log_inv = {n: -(log_m[n + 1] + log_eps[n]) for n in levels}
+        return _points(levels, sum_m, log_inv)
 
 
 def count_log_bounds(
@@ -334,6 +322,13 @@ def _limit_or_stated(
     return _stabilized([v for _, v in est.values]), False, est
 
 
+# parameter-region families: empty exactly where `emptiness_check` proves it,
+# else of dimension 1 (F_alpha: 1/alpha)
+_REGION_FAMILIES = frozenset(
+    {"A_alpha", "A_kappa", "B_alpha", "B_kappa", "E_alpha_beta", "F_alpha", "L_beta"}
+)
+
+
 def analytic_dimension(spec: SetSpec, window: int = DEFAULT_WINDOW) -> AnalyticDimension:
     """Hausdorff dimension of the family per the proven formula table.
 
@@ -345,23 +340,14 @@ def analytic_dimension(spec: SetSpec, window: int = DEFAULT_WINDOW) -> AnalyticD
     fam, p = spec.family, spec.params
     if fam == "E_phi":
         return _dimension_growth_target(p["profile"], window)
-    if fam == "A_alpha" or fam == "B_alpha":
-        alpha = p["alpha"]
-        if alpha < 1:
-            return AnalyticDimension(0.0, "exact", empty=True, detail="alpha < 1")
+    if fam in _REGION_FAMILIES:
+        verdict = emptiness_check(spec)
+        if verdict.empty:
+            return AnalyticDimension(0.0, "exact", empty=True, detail=verdict.detail)
+        if fam == "F_alpha":
+            alpha = p["alpha"]
+            return AnalyticDimension(0.0 if alpha == math.inf else 1.0 / float(alpha), "exact")
         return AnalyticDimension(1.0, "exact")
-    if fam == "A_kappa":
-        return AnalyticDimension(1.0, "exact")
-    if fam == "B_kappa":
-        kappa = p["kappa"]
-        if kappa <= 1:
-            return AnalyticDimension(0.0, "exact", empty=True, detail="kappa <= 1")
-        return AnalyticDimension(1.0, "exact")
-    if fam == "F_alpha":
-        alpha = p["alpha"]
-        if alpha < 1:
-            return AnalyticDimension(0.0, "exact", empty=True, detail="alpha < 1")
-        return AnalyticDimension(0.0 if alpha == math.inf else 1.0 / float(alpha), "exact")
     if fam == "C_psi_beta":
         report = check_deviation_scale(p["psi"], window)
         if not report["ok"]:
@@ -370,19 +356,6 @@ def analytic_dimension(spec: SetSpec, window: int = DEFAULT_WINDOW) -> AnalyticD
             )
         status = "exact" if report.get("certified") == "stated" else "window_certified"
         return AnalyticDimension(1.0, status)
-    if fam == "E_alpha_beta":
-        alpha, beta = float(p["alpha"]), p["beta"]
-        if alpha < 1:
-            return AnalyticDimension(1.0, "exact")
-        if alpha == 1:
-            if beta >= -1:
-                return AnalyticDimension(1.0, "exact")
-            return AnalyticDimension(0.0, "exact", empty=True, detail="alpha = 1, beta < -1")
-        if beta >= 0:
-            return AnalyticDimension(1.0, "exact")
-        return AnalyticDimension(0.0, "exact", empty=True, detail="alpha > 1, beta < 0")
-    if fam == "L_beta":
-        return AnalyticDimension(1.0, "exact")
     if fam == "E_star":
         return _dimension_scale_window(p["u"], window)
     if fam == "E_bounds":
@@ -486,6 +459,22 @@ def _cover_row_ok(phi: GrowthProfile, epsilon: float, n: int) -> bool:
     return gap_ok and hi_exp >= math.log(n + 1)
 
 
+def _cover_rows(phi: GrowthProfile, eps, m: int, last: int):
+    """phi(k) and the logs of the two level-k cover-count bounds for
+    k = m..last, indexed by level, with phi evaluated once per level:
+
+      num1(n) = m (1+eps) phi(m) + sum_{k=m+1}^{n} (1+eps) phi(k)
+      num2(n) = n (1+eps) phi(n) + (n-1) - n log n
+    """
+    values = _column(phi.mp_value, last, first=m)
+    terms = [(1 + eps) * v for v in values]
+    terms[m] = m * (1 + eps) * values[m]
+    num2 = {
+        n: n * (1 + eps) * values[n] + (n - 1) - n * mpmath.log(n) for n in range(m, last + 1)
+    }
+    return values, list(accumulate(terms)), num2
+
+
 def window_cover_bound(
     phi: GrowthProfile,
     epsilon: float,
@@ -501,12 +490,8 @@ def window_cover_bound(
     if n < m:
         raise ValueError("need n >= m")
     with mpmath.workprec(precision_bits):
-        eps = mpmath.mpf(epsilon)
-        total = m * (1 + eps) * phi.mp_value(m)
-        for k in range(m + 1, n + 1):
-            total += (1 + eps) * phi.mp_value(k)
-        alt = n * (1 + eps) * phi.mp_value(n) + (n - 1) - n * mpmath.log(n)
-        return min(total, alt)
+        _, num1, num2 = _cover_rows(phi, mpmath.mpf(epsilon), m, n)
+        return min(num1[n], num2[n])
 
 
 def window_cover_chains(
@@ -516,29 +501,18 @@ def window_cover_chains(
     n_max: int,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> dict[str, list[RatioPoint]]:
-    """Both cover-count/diameter ratio chains from level m to n_max, sharing
-    the diameter denominator (1-eps) sum_{k=m}^{n+1} phi(k)."""
+    """Both cover-count/diameter ratio chains, num1(n) and num2(n) of
+    `window_cover_bound` over the shared diameter denominator
+    (1-eps) sum_{k=m}^{n+1} phi(k), for n = m+1..n_max."""
     if n_max < m + 1:
         raise ValueError("need n_max > m")
-    chain1: list[RatioPoint] = []
-    chain2: list[RatioPoint] = []
     with mpmath.workprec(precision_bits):
         eps = mpmath.mpf(epsilon)
-        num1 = m * (1 + eps) * phi.mp_value(m)
-        den_sum = phi.mp_value(m)
-        for n in range(m + 1, n_max + 1):
-            value_n = phi.mp_value(n)
-            num1 += (1 + eps) * value_n
-            den_sum += value_n
-            den = (1 - eps) * (den_sum + phi.mp_value(n + 1))
-            num2 = n * (1 + eps) * value_n + (n - 1) - n * mpmath.log(n)
-            p1 = _point(n, num1, den)
-            p2 = _point(n, num2, den)
-            if p1 is not None:
-                chain1.append(p1)
-            if p2 is not None:
-                chain2.append(p2)
-    return {"chain1": chain1, "chain2": chain2}
+        values, num1, num2 = _cover_rows(phi, eps, m, n_max + 1)
+        sum_phi = list(accumulate(values))
+        levels = range(m + 1, n_max + 1)
+        den = {n: (1 - eps) * (sum_phi[n] + values[n + 1]) for n in levels}
+        return {"chain1": _points(levels, num1, den), "chain2": _points(levels, num2, den)}
 
 
 # -- cover sums for power-growth digit chains ----------------------------------------

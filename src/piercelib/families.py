@@ -327,8 +327,9 @@ def emptiness_check(spec: SetSpec, window: int = DEFAULT_WINDOW) -> EmptinessRes
     """Decide emptiness where a criterion exists.
 
     Proven routes: growth target below the digit floor (A, B, F with alpha < 1;
-    B_kappa with kappa <= 1), deviation families in their empty parameter
-    region, and digit windows that close at some level.  The slow-growth
+    B_kappa with kappa <= 1), no finite digit above it (A_kappa with
+    kappa = inf), deviation families in their empty parameter region, and
+    digit windows that close at some level.  The slow-growth
     criterion for E_phi is exact only when the profile carries a stated gamma;
     otherwise it is window-estimated and labeled accordingly.
     """
@@ -359,6 +360,8 @@ def emptiness_check(spec: SetSpec, window: int = DEFAULT_WINDOW) -> EmptinessRes
         if alpha < 1:
             return EmptinessResult(True, "proven", f"alpha = {alpha} < 1 beats digit growth")
         return EmptinessResult(False, "nonempty_or_unknown", f"alpha = {alpha} in [1, inf]")
+    if fam == "A_kappa" and p["kappa"] == math.inf:
+        return EmptinessResult(True, "proven", "kappa = inf but log d_1 < inf")
     if fam == "B_kappa":
         kappa = p["kappa"]
         if kappa <= 1:

@@ -144,7 +144,12 @@ class GrowthProfile:
                 return None
             return coeff * Fraction(n) ** int(a) + shift
         if k == "table":
-            return Fraction(p["values"][n - 1])
+            values = p["values"]
+            if n > len(values):
+                raise ProfileError(
+                    f"profile {self.label or self.kind} has {len(values)} rows, no row {n}"
+                )
+            return Fraction(values[n - 1])
         if k == "affine":
             a, b = _as_exact(p["a"]), _as_exact(p.get("b", 0))
             if a is None or b is None:
@@ -201,6 +206,8 @@ class GrowthProfile:
             return n * ctx.log(_num(ctx, p["a"]))
         if k == "lil":
             return ctx.sqrt(2 * n * ctx.log(ctx.log(n)))
+        if k == "affine":
+            return _num(ctx, p["a"]) * n + _num(ctx, p.get("b", 0))
         if k == "deviation":
             return n + _num(ctx, p["beta"]) * p["psi"]._eval(ctx, n)
         if k == "index_scaled":

@@ -39,15 +39,14 @@ from piercelib import (
     fundamental_interval,
     interval_length,
     is_admissible,
-    lil_profile,
     lil_running_extremes,
-    log_profile,
     oscillating_ratio_word,
     run_law,
     sample_digits,
     table_profile,
     window_cover_chains,
 )
+from test_dimension import ANALYTIC_TABLE
 
 EVEN = BoundsProfile(l=affine_profile(2), r=affine_profile(2, 2), threshold=0)
 TRIPLE = BoundsProfile(l=affine_profile(3), r=affine_profile(3, 3), threshold=0)
@@ -240,36 +239,6 @@ def test_criterion_06c_cover_chain_tails():
         f"chain2 {c2:.5f} vs {target2:.5f} (theta windowed {theta_win:.5f}); "
         f"analytic-theta variant {target2_analytic:.4f} reported, not asserted",
     )
-
-
-ANALYTIC_TABLE = [
-    (SetSpec("E_phi", {"profile": builtin_profiles()["log2"]}), 0.5, False),
-    (SetSpec("E_phi", {"profile": log_profile(Fraction(1, 2))}), 0.0, True),
-    (SetSpec("E_phi", {"profile": builtin_profiles()["geometric3"]}), 1 / 3, False),
-    (SetSpec("A_alpha", {"alpha": 1}), 1.0, False),
-    (SetSpec("A_alpha", {"alpha": 7}), 1.0, False),
-    (SetSpec("A_alpha", {"alpha": math.inf}), 1.0, False),
-    (SetSpec("A_alpha", {"alpha": 0.5}), 0.0, True),
-    (SetSpec("A_kappa", {"kappa": 3}), 1.0, False),
-    (SetSpec("A_kappa", {"kappa": -1}), 1.0, False),
-    (SetSpec("B_alpha", {"alpha": 2}), 1.0, False),
-    (SetSpec("B_alpha", {"alpha": 0.5}), 0.0, True),
-    (SetSpec("B_kappa", {"kappa": 2}), 1.0, False),
-    (SetSpec("B_kappa", {"kappa": 1}), 0.0, True),
-    (SetSpec("F_alpha", {"alpha": 1}), 1.0, False),
-    (SetSpec("F_alpha", {"alpha": 2}), 0.5, False),
-    (SetSpec("F_alpha", {"alpha": math.inf}), 0.0, False),
-    (SetSpec("F_alpha", {"alpha": 0.5}), 0.0, True),
-    (SetSpec("C_psi_beta", {"psi": lil_profile(), "beta": 1}), 1.0, False),
-    (SetSpec("E_alpha_beta", {"alpha": 0.5, "beta": -4}), 1.0, False),
-    (SetSpec("E_alpha_beta", {"alpha": 1, "beta": -1}), 1.0, False),
-    (SetSpec("E_alpha_beta", {"alpha": 1, "beta": -1.5}), 0.0, True),
-    (SetSpec("E_alpha_beta", {"alpha": 2, "beta": 1}), 1.0, False),
-    (SetSpec("E_alpha_beta", {"alpha": 2, "beta": -0.5}), 0.0, True),
-    (SetSpec("L_beta", {"beta": -1}), 1.0, False),
-    (SetSpec("L_beta", {"beta": 1}), 1.0, False),
-    (SetSpec("E_star", {"u": builtin_profiles()["scale_geometric3"]}), 1.0, False),
-]
 
 
 def test_criterion_07_analytic_formula_table():

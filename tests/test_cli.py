@@ -175,3 +175,47 @@ def test_rerun_from_embedded_config(capsys):
     assert code == 0
     code2, doc2 = run_json(capsys, argv)
     assert doc == doc2
+
+
+def test_subcommands_accept_only_the_options_they_read(capsys):
+    unread = {
+        ("expand", "1/2"): ("--count", "--precision-bits", "--enum-cap", "--window"),
+        ("interval", "1,3"): ("--n-max", "--count", "--precision-bits", "--enum-cap", "--window"),
+        ("dim", '{"family": "F_alpha", "params": {"alpha": 2}}'): ("--count",),
+        ("law", "lln"): ("--precision-bits", "--enum-cap", "--window"),
+    }
+    for argv, flags in unread.items():
+        for flag in flags:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, "5"])
+            assert exc.value.code == 2, (argv, flag)
+    capsys.readouterr()
+    code, doc = run_json(
+        capsys,
+        ["dim", '{"family": "F_alpha", "params": {"alpha": 2}}', "--seed", "1",
+         "--enum-cap", "8", "--window", "64", "--precision-bits", "96"],
+    )
+    assert code == 0
+    config = doc["config"]["config"]
+    assert config["seed"] == 1
+    assert (config["parameters"]["enum_cap"], config["parameters"]["window"]) == (8, 64)
+    assert doc["summary"]["precision_bits"] == 96
+
+
+def test_dim_table_bounds_read_past_their_end_exit_2(capsys):
+    def table(values):
+        return {"kind": "table", "values": values}
+
+    bounds = {"l": table([2, 4, 6, 8]), "r": table([4, 6, 8, 10])}
+    spec = json.dumps({"family": "E_bounds", "params": {"bounds": bounds}})
+    assert main(["dim", spec, "--n-max", "6"]) == 2
+    assert "has 4 rows, no row 5" in capsys.readouterr().err
+
+
+def test_dim_a_kappa_inf_is_empty(capsys):
+    spec = json.dumps({"family": "A_kappa", "params": {"kappa": "inf"}})
+    code, doc = run_json(capsys, ["dim", spec])
+    assert code == 0
+    assert doc["summary"]["empty"] is True
+    assert doc["summary"]["analytic"] == 0.0
+    assert doc["summary"]["detail"] == "kappa = inf but log d_1 < inf"

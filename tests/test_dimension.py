@@ -1,8 +1,11 @@
 """Dimension bound sequences, analytic formulas, cover bounds."""
 
+import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from piercelib.dimension import (
@@ -19,9 +22,11 @@ from piercelib.dimension import (
     window_cover_bound,
     window_cover_chains,
 )
-from piercelib.families import SetSpec
+from piercelib.families import SetSpec, emptiness_check
+from piercelib.intervals import log_epsilon_n
 from piercelib.profiles import (
     BoundsProfile,
+    GrowthProfile,
     affine_profile,
     bounds_from_scale,
     builtin_profiles,
@@ -81,6 +86,175 @@ def test_sandwich_with_count_slack():
         ) + 1e-12
 
 
+EXACT_ROW_BOUNDS = {"even": EVEN, "geometric3": _estar_bounds()}
+
+
+def _log(q: Fraction) -> float:
+    with mpmath.workprec(256):
+        return float(mpmath.log(q.numerator) - mpmath.log(q.denominator))
+
+
+@pytest.mark.parametrize("name", EXACT_ROW_BOUNDS)
+def test_sequences_match_logs_of_exact_row_products(name):
+    bounds = EXACT_ROW_BOUNDS[name]
+    n_max = 8
+    rows = range(1, n_max + 3)
+    l = [None] + [bounds.l.value(k) for k in rows]
+    r = [None] + [bounds.r.value(k) for k in rows]
+    delta = [None] + [r[k] - l[k] for k in rows]
+    m = [None] + [Fraction(bounds.branch_count(k)) for k in rows]
+
+    def prod(seq, n):
+        return math.prod(seq[1:n + 1])
+
+    def eps(j):  # the level-j gap bound of intervals.epsilon_n
+        return delta[j + 1] / (2 * prod(r, j) * r[j] * r[j + 1])
+
+    exact = {
+        "lower": lambda n: (
+            prod(delta, n),
+            r[n + 1] * r[n + 2] / (delta[n + 1] * delta[n + 2]) * prod(r, n + 1),
+        ),
+        "upper": lambda n: (prod(delta, n), r[n + 1] / delta[n + 1] * prod(l, n + 1)),
+        # 1 / the diameter bound 2 Delta_{n+1} / (r_{n+1} prod_{k<=n+1} l_k)
+        "box": lambda n: (prod(m, n), r[n + 1] * prod(l, n + 1) / (2 * delta[n + 1])),
+        "gap": lambda n: (prod(m, n), 1 / (m[n + 1] * eps(n + 1))),
+    }
+    estimate = dimension_bound_sequences(bounds, n_max)
+    sequences = {
+        "lower": estimate.lower_seq,
+        "upper": estimate.upper_seq,
+        "box": box_ratio_sequence(bounds, n_max),
+        "gap": gap_ratio_sequence(bounds, n_max),
+    }
+    for kind, points in sequences.items():
+        assert [p.n for p in points] == list(range(bounds.threshold + 1, n_max + 1)), kind
+        for p in points:
+            count, inv_diam = exact[kind](p.n)
+            assert p.log_count == pytest.approx(_log(count), rel=1e-15), (kind, p.n)
+            assert p.log_inv_diam == pytest.approx(_log(inv_diam), rel=1e-15), (kind, p.n)
+    for p in sequences["gap"]:
+        with mpmath.workprec(128):
+            log_eps = log_epsilon_n(bounds, p.n + 1)
+        assert p.log_inv_diam == pytest.approx(
+            -float(mpmath.log(m[p.n + 1]) + log_eps), rel=1e-15
+        )
+
+
+def _digest(points) -> str:
+    return hashlib.sha256("\n".join(repr(p) for p in points).encode()).hexdigest()
+
+
+# sha256 over the RatioPoint reprs, one per line; computed by the per-level
+# loops that preceded the row columns, so they pin the rounding of every sum
+PINNED_DIGESTS = {
+    "geometric3.lower": "c2cbb54daa5d2200291811832932a80afb78ef2e919bc7aad0714d90a161998e",
+    "geometric3.upper": "903d7083532048e83795955204513bc40789a68221aeebe80a1a440214df41a4",
+    "geometric3.box": "c11461872f8560457e8da6e6d6f276b63160a92ae6e120f64a83b4fc82782dbc",
+    "geometric3.gap": "4f95477a58d8bc79dfa66121d862dc73427e7df35be0b389afe4458b7ddc8e05",
+    "even.lower": "4cbf21f10bc2f03e5b57b40a8316a332f27c5bd9ed1d2f6728db87576d448e99",
+    "even.upper": "aafbccf4f30f628c25f69ed4534e6eed7754d5afc56e0a66d844568217aa01be",
+    "even.box": "57df7105ae2453771f74492ddecd9400147bf84f9d2ec8912a548b3ae798dffc",
+    "even.gap": "9a0ff993856c2ee5f9baef74cd8c3f4c830f38a7a803c31f78d258f8282d2892",
+    "log2.chain1": "2a8972bfddc3e838d916077f809698ead3c48c2d4fef2e8a908200def2d5f675",
+    "log2.chain2": "bf8dd14eabb1b721949afbe53d9cfe9603b36360437bf88f1fd3e1af72a57834",
+}
+
+
+def test_ratio_points_bit_identical_to_pinned_digests():
+    got = {}
+    for name, bounds in EXACT_ROW_BOUNDS.items():
+        estimate = dimension_bound_sequences(bounds, 60)
+        got[f"{name}.lower"] = _digest(estimate.lower_seq)
+        got[f"{name}.upper"] = _digest(estimate.upper_seq)
+        got[f"{name}.box"] = _digest(box_ratio_sequence(bounds, 60))
+        got[f"{name}.gap"] = _digest(gap_ratio_sequence(bounds, 60))
+    for chain, points in window_cover_chains(builtin_profiles()["log2"], 0.01, 2, 400).items():
+        got[f"log2.{chain}"] = _digest(points)
+    assert got == PINNED_DIGESTS
+
+
+def _record_rows(monkeypatch, owners, methods):
+    """Count calls per (name, row) of the given row methods of the named
+    profiles."""
+    calls = Counter()
+    for cls, method in methods:
+        def wrapper(self, n, _method=method, _original=getattr(cls, method)):
+            for name, owner in owners.items():
+                if self is owner:
+                    calls[(f"{name}.{_method}", n)] += 1
+            return _original(self, n)
+
+        monkeypatch.setattr(cls, method, wrapper)
+    return calls
+
+
+def _once(name, rows):
+    return Counter({(name, k): 1 for k in rows})
+
+
+# threshold 4 keeps box's exact diameter self-check (levels <= 4), which
+# enumerates words, out of the counts
+COUNTED = BoundsProfile(l=affine_profile(2), r=affine_profile(2, 2), threshold=4)
+
+
+@pytest.mark.parametrize(
+    "sequence,expected",
+    [
+        (
+            dimension_bound_sequences,
+            _once("r.log_value", range(1, 63))
+            + _once("l.log_value", range(1, 63))
+            + _once("bounds.log_delta", range(1, 63)),
+        ),
+        (
+            box_ratio_sequence,
+            _once("bounds.branch_count", range(1, 61))
+            + _once("l.log_value", range(1, 62))
+            + _once("r.log_value", range(2, 62))
+            + _once("bounds.log_delta", range(2, 62)),
+        ),
+        (
+            gap_ratio_sequence,
+            _once("bounds.branch_count", range(1, 62))
+            + _once("r.log_value", range(1, 63))
+            + _once("bounds.log_delta", range(3, 63)),
+        ),
+    ],
+)
+def test_each_bound_row_is_evaluated_once(monkeypatch, sequence, expected):
+    bounds = COUNTED
+    calls = _record_rows(
+        monkeypatch,
+        {"bounds": bounds, "l": bounds.l, "r": bounds.r},
+        ((GrowthProfile, "log_value"), (BoundsProfile, "log_delta"), (BoundsProfile, "branch_count")),
+    )
+    sequence(bounds, 60)
+    assert calls == expected
+
+
+def test_each_phi_row_is_evaluated_once(monkeypatch):
+    phi = builtin_profiles()["log2"]
+    calls = _record_rows(monkeypatch, {"phi": phi}, ((GrowthProfile, "mp_value"),))
+    window_cover_chains(phi, 0.01, 2, 400)
+    assert calls == _once("phi.mp_value", range(2, 402))
+    calls.clear()
+    window_cover_bound(phi, 0.01, 2, 50)
+    assert calls == _once("phi.mp_value", range(2, 51))
+
+
+def test_cover_bound_is_the_smaller_chain_numerator():
+    log2 = builtin_profiles()["log2"]
+    chains = window_cover_chains(log2, 0.01, 2, 50)
+    for p1, p2 in zip(chains["chain1"], chains["chain2"]):
+        assert p1.n == p2.n
+        bound = window_cover_bound(log2, 0.01, 2, p1.n)
+        assert float(bound) == min(p1.log_count, p2.log_count)
+    assert float(window_cover_bound(log2, 0.01, 2, 2)) == pytest.approx(
+        min(2 * 1.01 * 2 * math.log(2), 2 * 1.01 * 2 * math.log(2) + 1 - 2 * math.log(2))
+    )
+
+
 def test_gap_sequence_requires_two_branches():
     single = BoundsProfile(l=affine_profile(1), r=affine_profile(1, 1), threshold=0)
     with pytest.raises(ValueError):
@@ -137,6 +311,7 @@ ANALYTIC_TABLE = [
     (SetSpec("L_beta", {"beta": -1}), 1.0, False),
     (SetSpec("L_beta", {"beta": 1}), 1.0, False),
     (SetSpec("E_star", {"u": builtin_profiles()["scale_geometric3"]}), 1.0, False),
+    (SetSpec("A_kappa", {"kappa": math.inf}), 0.0, True),
 ]
 
 
@@ -145,6 +320,20 @@ def test_analytic_dimension_table(spec, value, empty):
     report = analytic_dimension(spec, window=512)
     assert report.value == pytest.approx(value, abs=1e-9)
     assert report.empty == empty
+
+
+def test_analytic_dimension_takes_the_emptiness_verdict():
+    # the parameter-region families are empty exactly where emptiness_check
+    # proves it, and then report its reason
+    for spec, _, empty in ANALYTIC_TABLE:
+        if spec.family in ("E_phi", "C_psi_beta", "E_star"):
+            continue
+        verdict = emptiness_check(spec)
+        report = analytic_dimension(spec)
+        assert verdict.empty == report.empty == empty, spec.describe()
+        if empty:
+            assert verdict.status == "proven"
+            assert (report.value, report.status, report.detail) == (0.0, "exact", verdict.detail)
 
 
 def test_analytic_dimension_scale_windows():

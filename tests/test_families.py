@@ -220,6 +220,9 @@ def test_emptiness_growth_families():
     assert emptiness_check(SetSpec("B_kappa", {"kappa": 1})).empty
     assert not emptiness_check(SetSpec("F_alpha", {"alpha": 2})).empty
     assert not emptiness_check(SetSpec("A_kappa", {"kappa": 5})).empty
+    # every digit is finite, so membership fails at d_1
+    inf_kappa = SetSpec("A_kappa", {"kappa": math.inf})
+    assert emptiness_check(inf_kappa).empty and emptiness_check(inf_kappa).status == "proven"
 
 
 def test_emptiness_deviation_region():

@@ -45,7 +45,7 @@ CASES = {
     "table": (table_profile([Fraction(k * k + 1, 3**84) for k in range(1, 61)]),),
     "lil": (lil_profile(),),
     "deviation": (deviation_profile(Fraction(1, 2), lil_profile()),),
-    "affine": (affine_profile(Fraction(1, 3), 2),),
+    "affine": (affine_profile(Fraction(1, 3), 2), affine_profile(0.5, 1)),
     "index_scaled": (index_scaled_profile(sqrt_profile(), 1),),
     "exp_of": (exp_of_profile(sqrt_profile()),),
     "exp_of_scaled": (exp_of_scaled_profile(deviation_profile(1, lil_profile()), lil_profile()),),
@@ -166,3 +166,7 @@ def test_mp_and_log_bits_pinned(kind, iv128):
         (profile.mp_value(n).man_exp, profile.log_value(n).man_exp) for n in PINNED_LEVELS
     )
     assert got == PINNED[kind]
+
+
+def test_float_affine_has_a_float_path():
+    assert affine_profile(0.5, 1).floor(3) == 2

@@ -135,6 +135,14 @@ def test_bounds_from_scale_rejects_small_scale():
         bounds_from_scale(table_profile([1, 1, 1, 1]), window=3)
 
 
+def test_table_profile_read_past_its_end_names_the_row():
+    table = table_profile([2, 4, 6, 8])
+    assert table.value(4) == 8
+    for read in (table.value, table.mp_value, table.log_value, table.floor):
+        with pytest.raises(ProfileError, match="has 4 rows, no row 5"):
+            read(5)
+
+
 def test_find_threshold_linear():
     even = BoundsProfile(l=affine_profile(2), r=affine_profile(2, 2), threshold=0)
     assert find_threshold(even.l, even.r, 100) == 0
