@@ -30,7 +30,7 @@ from .expansion import affine_map, expand
 from .families import EnumerationCapError, SetSpec
 from .intervals import fundamental_interval, interval_length
 from .laws import run_law
-from .profiles import DEFAULT_WINDOW, ProfileError, bounds_from_scale
+from .profiles import DEFAULT_WINDOW, ProfileError, _nondecreasing, bounds_from_scale
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -178,6 +178,16 @@ def _bounds_for_spec(spec: SetSpec, window: int):
     return None
 
 
+def _require_verified_rows(spec: SetSpec, window: int, last: int) -> None:
+    """The sequences read bound rows up to `last`; an E_star scale without a
+    structural certificate is verified only on levels up to `window`."""
+    if spec.family == "E_star" and last > window and not _nondecreasing(spec.params["u"]):
+        raise ProfileError(
+            f"scale profile verified only through n={window}; the sequences read "
+            f"rows up to n={last}, and row {window + 1} is unverified"
+        )
+
+
 def cmd_dim(args) -> int:
     spec = _load_spec(args.spec)
     report = analytic_dimension(spec, window=args.window)
@@ -190,6 +200,7 @@ def cmd_dim(args) -> int:
         except (ProfileError, ValueError) as exc:
             notes["bounds"] = f"unavailable: {exc}"
     if bounds is not None:
+        _require_verified_rows(spec, args.window, args.n_max + 2)
         bits = args.precision_bits
         estimate = dimension_bound_sequences(bounds, args.n_max, bits)
         rows += _ratio_rows(estimate.lower_seq, "lower")

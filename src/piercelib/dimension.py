@@ -424,14 +424,18 @@ def _dimension_scale_window(u: GrowthProfile, window: int) -> AnalyticDimension:
 # -- cover bounds for exponential digit targets ------------------------------------
 
 
+def _require_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must be in (0, 1)")
+
+
 def find_cover_start(
     phi: GrowthProfile, epsilon: float, scan_limit: int = 256
 ) -> int:
     """Smallest m so that, for every scanned n >= m, the digit window
     (e^{(1-eps) phi(n)}, e^{(1+eps) phi(n)}] contains an integer and contains
     one at least n.  Scanned up to scan_limit; failure reported, not guessed."""
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must be in (0, 1)")
+    _require_epsilon(epsilon)
     last_bad = 0
     for n in range(phi.min_index, scan_limit + 1):
         if not _cover_row_ok(phi, epsilon, n):
@@ -485,8 +489,7 @@ def window_cover_bound(
     """Log of the level-n cover count bound
     min{ e^{m(1+eps)phi(m)} prod_{k=m+1}^{n} e^{(1+eps)phi(k)},
          e^{n(1+eps)phi(n) + (n-1)} / n^n }."""
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must be in (0, 1)")
+    _require_epsilon(epsilon)
     if n < m:
         raise ValueError("need n >= m")
     with mpmath.workprec(precision_bits):
@@ -504,6 +507,7 @@ def window_cover_chains(
     """Both cover-count/diameter ratio chains, num1(n) and num2(n) of
     `window_cover_bound` over the shared diameter denominator
     (1-eps) sum_{k=m}^{n+1} phi(k), for n = m+1..n_max."""
+    _require_epsilon(epsilon)
     if n_max < m + 1:
         raise ValueError("need n_max > m")
     with mpmath.workprec(precision_bits):

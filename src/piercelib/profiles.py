@@ -607,12 +607,19 @@ def find_threshold(l: GrowthProfile, r: GrowthProfile, n_limit: int) -> int:
 def bounds_from_scale(u: GrowthProfile, window: int = DEFAULT_WINDOW) -> BoundsProfile:
     """Digit bounds n*u(n) < d_n <= (n+1)*u(n) from a scale sequence u.
 
-    Requires 2 <= u(n) <= u(n+1) on the verification window; the three
-    admissibility conditions then hold with r(n) - l(n) = u(n).
+    Requires 2 <= u(n) <= u(n+1); the three admissibility conditions then
+    hold with r(n) - l(n) = u(n).  Where u's kind and parameter signs make
+    it nondecreasing (exponential with a >= 1 and coeff > 0, power with
+    a >= 0 and coeff > 0, sqrt with coeff > 0, linear_log with a > 1, and
+    exp_of over such an inner profile), one certified u(min_index) >= 2
+    proves both conditions for every n and `window` is not read.  Every
+    other kind (table, piecewise, index_scaled, lil, ...) is scanned row by
+    row on n = min_index..window only.
     """
-    for n in range(u.min_index, window + 1):
-        _require_scale(certified_compare(((1, u, n),), 2), "u(n) >= 2", n)
-        _require_scale(certified_compare(((1, u, n + 1), (-1, u, n))), "u(n+1) >= u(n)", n)
+    if _nondecreasing(u):
+        _require_scale(certified_compare(((1, u, u.min_index),), 2), "u(n) >= 2", u.min_index)
+    else:
+        _scan_scale(u, window)
     return BoundsProfile(
         l=index_scaled_profile(u, 0, label="n*u(n)"),
         r=index_scaled_profile(u, 1, label="(n+1)*u(n)"),
@@ -621,6 +628,46 @@ def bounds_from_scale(u: GrowthProfile, window: int = DEFAULT_WINDOW) -> BoundsP
         analytic=dict(u.analytic),
         scale=u,
     )
+
+
+def _nondecreasing(u: GrowthProfile) -> bool:
+    """True only where u(n) <= u(n+1) for every n follows from u's kind and
+    the signs of its parameters.  The parameters are read here, not trusted
+    to a constructor: `GrowthProfile.from_dict` skips the constructors' checks."""
+    k, p = u.kind, u.params
+    if u.min_index < 1:  # the power and sqrt rules below need n >= 1
+        return False
+    if k == "exponential" or k == "power":
+        a, coeff = p["a"], p.get("coeff", 1)
+        # exponential: a^(n+1) = a * a^n >= a^n for a >= 1; power: (n+1)^a >= n^a
+        # for a >= 0; coeff > 0 keeps the order, and shift moves both rows alike
+        least = 1 if k == "exponential" else 0
+        return _finite(a, coeff, p.get("shift", 0)) and a >= least and coeff > 0
+    # sqrt is increasing; coeff > 0 keeps the order
+    if k == "sqrt":
+        return _finite(p.get("coeff", 1)) and p.get("coeff", 1) > 0
+    # (n+1) log a - n log a = log a > 0 for a > 1
+    if k == "linear_log":
+        return _finite(p["a"]) and p["a"] > 1
+    # exp is increasing, so exp(g) is nondecreasing wherever g is
+    if k == "exp_of":
+        return _nondecreasing(p["inner"])
+    return False
+
+
+def _finite(*values: Any) -> bool:
+    """Every value is a finite real number (rational, int or finite float)."""
+    return all(
+        isinstance(v, (int, Fraction)) or (isinstance(v, float) and math.isfinite(v))
+        for v in values
+    )
+
+
+def _scan_scale(u: GrowthProfile, window: int) -> None:
+    """Row scan of u(n) >= 2 and u(n+1) >= u(n) for n = min_index..window."""
+    for n in range(u.min_index, window + 1):
+        _require_scale(certified_compare(((1, u, n),), 2), "u(n) >= 2", n)
+        _require_scale(certified_compare(((1, u, n + 1), (-1, u, n))), "u(n+1) >= u(n)", n)
 
 
 def _require_scale(sign: int | None, condition: str, n: int) -> None:

@@ -212,6 +212,26 @@ def test_dim_table_bounds_read_past_their_end_exit_2(capsys):
     assert "has 4 rows, no row 5" in capsys.readouterr().err
 
 
+def test_dim_scale_without_a_rule_is_read_only_on_its_window(capsys):
+    # a table scale is verified by the row scan on levels 1..--window only
+    u = {"kind": "table", "values": list(range(2, 14))}
+    spec = json.dumps({"family": "E_star", "params": {"u": u}})
+    code, doc = run_json(capsys, ["dim", spec, "--n-max", "6", "--window", "8"])
+    assert code == 0
+    assert max(row["n"] for row in doc["data"]) == 6
+    assert main(["dim", spec, "--n-max", "7", "--window", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "row 9 is unverified" in captured.err
+    # a scale with a structural rule is certified for every n
+    geo = json.dumps(
+        {"family": "E_star", "params": {"u": {"kind": "builtin", "name": "scale_geometric3"}}}
+    )
+    code, doc = run_json(capsys, ["dim", geo, "--n-max", "12", "--window", "8"])
+    assert code == 0
+    assert max(row["n"] for row in doc["data"]) == 12
+
+
 def test_dim_a_kappa_inf_is_empty(capsys):
     spec = json.dumps({"family": "A_kappa", "params": {"kappa": "inf"}})
     code, doc = run_json(capsys, ["dim", spec])

@@ -243,6 +243,21 @@ def test_each_phi_row_is_evaluated_once(monkeypatch):
     assert calls == _once("phi.mp_value", range(2, 51))
 
 
+@pytest.mark.parametrize("epsilon", [0, 1.5])
+@pytest.mark.parametrize(
+    "cover",
+    [
+        lambda phi, eps: find_cover_start(phi, eps),
+        lambda phi, eps: window_cover_bound(phi, eps, 2, 10),
+        lambda phi, eps: window_cover_chains(phi, eps, 2, 10),
+    ],
+    ids=["start", "bound", "chains"],
+)
+def test_cover_functions_reject_epsilon_outside_unit_interval(cover, epsilon):
+    with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\)"):
+        cover(builtin_profiles()["log2"], epsilon)
+
+
 def test_cover_bound_is_the_smaller_chain_numerator():
     log2 = builtin_profiles()["log2"]
     chains = window_cover_chains(log2, 0.01, 2, 50)

@@ -12,10 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import piercelib
+from piercelib import profiles
 from piercelib._precision import PrecisionError, certified_floor, certified_sign
 from piercelib.profiles import (
+    DEFAULT_WINDOW,
     _decode,
     _encode,
+    _nondecreasing,
+    _scan_scale,
     BoundsProfile,
     GrowthProfile,
     ProfileError,
@@ -29,6 +33,7 @@ from piercelib.profiles import (
     exp_of_profile,
     exponential_profile,
     find_threshold,
+    index_scaled_profile,
     lil_profile,
     linear_log_profile,
     log_profile,
@@ -249,6 +254,99 @@ def test_bounds_from_scale_accepts_certified_zero_tie():
 def test_bounds_from_scale_reports_undecided():
     with pytest.raises(ProfileError, match="undecided at n=1"):
         bounds_from_scale(TWO_POW_THROUGH_EXP, window=8)
+
+
+def _rational(lo, hi, *, open_lo=False):
+    q = st.fractions(min_value=lo, max_value=hi, max_denominator=6)
+    return q.filter(lambda v: v > lo) if open_lo else q
+
+
+def _rule_profiles(strict: bool):
+    """Profiles of each kind with a monotonicity rule, on random parameters
+    inside the rule's region; `strict` leaves out the constant edge
+    (exponential a = 1, power a = 0)."""
+    coeff, shift = _rational(0, 4, open_lo=True), _rational(-4, 4)
+    return st.one_of(
+        st.builds(exponential_profile, _rational(1, 4, open_lo=strict), coeff, shift),
+        st.builds(power_profile, _rational(0, 3, open_lo=strict), coeff, shift),
+        st.builds(sqrt_profile, coeff),
+        st.builds(linear_log_profile, _rational(1, 4, open_lo=True)),
+    )
+
+
+def _scale_outcome(check, u, window):
+    try:
+        check(u, window)
+    except ProfileError as exc:
+        return str(exc)
+    return "accepted"
+
+
+# exp of a constant inner row is left out: the structural rule proves the tie
+# u(n+1) = u(n), which interval enclosures of exp leave undecided
+@settings(max_examples=60, deadline=None)
+@given(
+    u=st.one_of(_rule_profiles(strict=False), _rule_profiles(strict=True).map(exp_of_profile)),
+    window=st.integers(64, 256),
+)
+def test_structural_scale_certificate_agrees_with_the_row_scan(u, window):
+    assert _nondecreasing(u)
+    assert _scale_outcome(bounds_from_scale, u, window) == _scale_outcome(_scan_scale, u, window)
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"kind": "exponential", "a": "1/2", "coeff": 8}, "fails u(n+1) >= u(n) at n=1"),
+        ({"kind": "linear_log", "a": "1/2"}, "fails u(n) >= 2 at n=1"),
+        ({"kind": "power", "a": 1, "coeff": -1, "shift": 10}, "fails u(n+1) >= u(n) at n=1"),
+    ],
+)
+def test_scale_outside_the_rule_region_is_scanned(data, message):
+    # from_dict skips the constructors' checks, so the rule reads the signs itself
+    u = GrowthProfile.from_dict(data)
+    assert not _nondecreasing(u)
+    for check in (bounds_from_scale, _scan_scale):
+        with pytest.raises(ProfileError) as err:
+            check(u, 64)
+        assert str(err.value) == f"scale profile {message}"
+
+
+def test_kinds_without_a_rule_are_not_structural():
+    geo = builtin_profiles()["scale_geometric3"]
+    for u in (
+        table_profile([2, 3, 4]),
+        lil_profile(),
+        piecewise_profile(2, geo, geo),
+        index_scaled_profile(geo, 1),
+        exp_of_profile(table_profile([2, 3, 4])),
+        GrowthProfile.from_dict({"kind": "exponential", "a": "inf"}),
+        # n^2 falls on n = -2..0
+        GrowthProfile("power", {"a": Fraction(2)}, min_index=-2),
+    ):
+        assert not _nondecreasing(u)
+
+
+@pytest.mark.parametrize(
+    "u,window,calls",
+    [
+        (builtin_profiles()["scale_geometric3"], DEFAULT_WINDOW, 1),
+        (builtin_profiles()["scale_exp_sqrt"], DEFAULT_WINDOW, 1),
+        (builtin_profiles()["scale_exp_square"], DEFAULT_WINDOW, 1),
+        # no rule: two comparisons per scanned row
+        (table_profile(range(2, 9)), 6, 12),
+    ],
+)
+def test_bounds_from_scale_compare_count(monkeypatch, u, window, calls):
+    made = []
+
+    def counting(*args, _original=profiles.certified_compare):
+        made.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(profiles, "certified_compare", counting)
+    bounds_from_scale(u, window)
+    assert len(made) == calls
 
 
 def test_find_threshold_counts_undecided_as_failure():
