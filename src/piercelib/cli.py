@@ -30,7 +30,7 @@ from .expansion import affine_map, expand
 from .families import EnumerationCapError, SetSpec
 from .intervals import fundamental_interval, interval_length
 from .laws import run_law
-from .profiles import DEFAULT_WINDOW, ProfileError, _nondecreasing, bounds_from_scale
+from .profiles import DEFAULT_WINDOW, ProfileError, _memo_rows, _nondecreasing, bounds_from_scale
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -201,6 +201,8 @@ def cmd_dim(args) -> int:
             notes["bounds"] = f"unavailable: {exc}"
     if bounds is not None:
         _require_verified_rows(spec, args.window, args.n_max + 2)
+        # the three sequences share one row memo for this document
+        bounds = _memo_rows(bounds)
         bits = args.precision_bits
         estimate = dimension_bound_sequences(bounds, args.n_max, bits)
         rows += _ratio_rows(estimate.lower_seq, "lower")

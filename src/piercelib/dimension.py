@@ -11,8 +11,12 @@ Parameter-region families take their empty regions from
 
 The ratio sequences (lower, upper, box, gap) and the two cover chains are
 closed formulas over columns of bound rows (log r_k, log l_k, log Delta_k,
-log m_k or phi(k)), each row evaluated once per call, on the rows its formula
-reads; prefix sums start from a row 0 of 0, so they add in running-total order.
+log m_k or phi(k)), each row evaluated once per call, on the rows its
+formula reads; prefix sums start from a row 0 of 0, so they add in
+running-total order.  A `dim` document hands its lower/upper, box and gap
+sequences one bounds profile whose l and r read through a row memo
+(`profiles._memo_rows`), so each row's value, log and floor is evaluated
+once per document; the memo lives only as long as that document.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ hold, so that a 2n / 2(n+1) prefix can be glued in front of the rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any
 
@@ -507,6 +507,48 @@ class BoundsProfile:
         )
 
 
+class _RowMemo:
+    """A growth profile whose rows are each computed once while this object
+    lives.  One certified question (a `dim` document, a `find_threshold`
+    call) wraps its profiles at entry and drops the wrapper when it ends, so
+    nothing is kept across questions.  Each entry is keyed by row and by the
+    precision it was computed at: `mpmath.mp.prec` for `mp_value`,
+    `log_value` and `floor`, `iv.prec` for `iv_value`.  A row that raises is
+    not stored, so the next read raises again.  Every other attribute is the
+    wrapped profile's."""
+
+    def __init__(self, profile: GrowthProfile):
+        self._profile = profile
+        self._rows: dict[tuple[str, int, int], Any] = {}
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._profile, name)
+
+    def _row(self, method: str, n: int, prec: int, *args):
+        key = (method, n, prec)
+        if key not in self._rows:
+            self._rows[key] = getattr(self._profile, method)(n, *args)
+        return self._rows[key]
+
+    def mp_value(self, n: int) -> mpmath.mpf:
+        return self._row("mp_value", n, mpmath.mp.prec)
+
+    def log_value(self, n: int) -> mpmath.mpf:
+        return self._row("log_value", n, mpmath.mp.prec)
+
+    def floor(self, n: int) -> int:
+        # a certified floor rounds its endpoints at mpmath.mp.prec
+        return self._row("floor", n, mpmath.mp.prec)
+
+    def iv_value(self, n: int, iv) -> object:
+        return self._row("iv_value", n, iv.prec, iv)
+
+
+def _memo_rows(bounds: BoundsProfile) -> BoundsProfile:
+    """`bounds` with l and r each read through a fresh `_RowMemo`."""
+    return replace(bounds, l=_RowMemo(bounds.l), r=_RowMemo(bounds.r))
+
+
 class ThresholdNotFound(ValueError):
     """No splice index validates the admissibility conditions.
 
@@ -581,9 +623,14 @@ def find_threshold(l: GrowthProfile, r: GrowthProfile, n_limit: int) -> int:
 
     Raises ThresholdNotFound naming the condition that fails last and
     whether it was decided false or left undecided.
+
+    l and r are read through a `_RowMemo` that lives for this call, so each
+    (row, precision) enclosure is built once, however many pairs and splice
+    checks read it.
     """
     if n_limit < 1:
         raise ProfileError("n_limit must be >= 1")
+    l, r = _RowMemo(l), _RowMemo(r)
     failures: dict[int, tuple[str, bool]] = {}
     for n in range(max(1, l.min_index), n_limit + 1):
         bad = _pair_conditions(l, r, n)

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from piercelib.cli import main
+from piercelib.dimension import box_ratio_sequence, dimension_bound_sequences, gap_ratio_sequence
+from piercelib.families import SetSpec
+from piercelib.profiles import bounds_from_scale
 
 
 def run_json(capsys, argv):
@@ -239,3 +242,79 @@ def test_dim_a_kappa_inf_is_empty(capsys):
     assert doc["summary"]["empty"] is True
     assert doc["summary"]["analytic"] == 0.0
     assert doc["summary"]["detail"] == "kappa = inf but log d_1 < inf"
+
+
+def _unshared_document(bounds, n_max):
+    """Data rows and sequence notes of a `dim` document, from the three public
+    sequence functions run on bounds without a row memo."""
+    estimate = dimension_bound_sequences(bounds, n_max)
+    sequences = [("lower", estimate.lower_seq), ("upper", estimate.upper_seq)]
+    notes = {}
+    for kind, sequence in (("box", box_ratio_sequence), ("gap", gap_ratio_sequence)):
+        try:
+            sequences.append((kind, sequence(bounds, n_max)))
+        except ValueError as exc:  # ProfileError is a ValueError
+            notes[f"{kind}_sequence"] = f"unavailable: {exc}"
+    rows = [
+        {
+            "n": p.n,
+            "log_count": repr(p.log_count),
+            "log_inv_diam": repr(p.log_inv_diam),
+            "ratio": repr(p.ratio),
+            "bound_kind": kind,
+        }
+        for kind, points in sequences
+        for p in points
+    ]
+    return rows, notes
+
+
+def _table(values):
+    return {"kind": "table", "values": values}
+
+
+DOCUMENTS = {
+    "geometric3": ({"u": {"kind": "builtin", "name": "scale_geometric3"}}, 40),
+    # floors and logs on the mpmath.iv / mpmath.mp paths
+    "exp_sqrt": ({"u": {"kind": "exp_of", "inner": {"kind": "sqrt", "coeff": "9/8"}}}, 60),
+    # the rows 2n < d_n <= 2(n+1) of the scale u = 2, with level 3 narrowed
+    # to one digit choice: gap fails there, box does not; the stated scale
+    # gives the document an analytic value, so it exits 0
+    "one_choice_at_3": (
+        {
+            "bounds": {
+                "l": _table([2, 4, 6, 8, 10, 12, 14, 16, 18, 20]),
+                "r": _table([4, 6, 7, 10, 12, 14, 16, 18, 20, 22]),
+                "scale": {"kind": "power", "a": 0, "coeff": 2, "analytic": {"eta": 0}},
+            }
+        },
+        8,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_dim_document_matches_the_unshared_sequences(capsys, name):
+    params, n_max = DOCUMENTS[name]
+    family = "E_bounds" if "bounds" in params else "E_star"
+    spec = {"family": family, "params": params}
+    code, doc = run_json(capsys, ["dim", json.dumps(spec), "--n-max", str(n_max)])
+    assert code == 0
+    set_spec = SetSpec.from_dict(spec)
+    bounds = set_spec.params.get("bounds") or bounds_from_scale(set_spec.params["u"])
+    rows, notes = _unshared_document(bounds, n_max)
+    assert doc["data"] == rows
+    assert {k: v for k, v in doc["summary"].items() if k.endswith("_sequence")} == notes
+
+
+def test_dim_gap_error_leaves_the_other_rows(capsys):
+    # an error raised while gap reads its rows is not kept for a later reader
+    params, n_max = DOCUMENTS["one_choice_at_3"]
+    spec = json.dumps({"family": "E_bounds", "params": params})
+    code, doc = run_json(capsys, ["dim", spec, "--n-max", str(n_max)])
+    assert code == 0
+    assert doc["summary"]["gap_sequence"] == "unavailable: fewer than 2 digit choices at level 3"
+    assert "box_sequence" not in doc["summary"]
+    assert {row["bound_kind"] for row in doc["data"]} == {"lower", "upper", "box"}
+    # the same document again, in the same process, reads the same rows afresh
+    assert run_json(capsys, ["dim", spec, "--n-max", str(n_max)]) == (code, doc)

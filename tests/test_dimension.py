@@ -1,6 +1,7 @@
 """Dimension bound sequences, analytic formulas, cover bounds."""
 
 import hashlib
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from piercelib import cli
 from piercelib.dimension import (
     analytic_dimension,
     box_ratio_sequence,
@@ -230,6 +232,37 @@ def test_each_bound_row_is_evaluated_once(monkeypatch, sequence, expected):
         ((GrowthProfile, "log_value"), (BoundsProfile, "log_delta"), (BoundsProfile, "branch_count")),
     )
     sequence(bounds, 60)
+    assert calls == expected
+
+
+def test_each_bound_row_is_evaluated_once_per_dim_document(monkeypatch, capsys):
+    # lower/upper, box and gap of one document share one row memo
+    owners = {}
+    made = cli._bounds_for_spec
+
+    def capture(spec, window):
+        bounds = made(spec, window)
+        owners.update(l=bounds.l, r=bounds.r)
+        return bounds
+
+    monkeypatch.setattr(cli, "_bounds_for_spec", capture)
+    calls = _record_rows(
+        monkeypatch,
+        owners,
+        ((GrowthProfile, "mp_value"), (GrowthProfile, "log_value"), (GrowthProfile, "floor")),
+    )
+    spec = json.dumps(
+        {"family": "E_star", "params": {"u": {"kind": "builtin", "name": "scale_geometric3"}}}
+    )
+    assert cli.main(["dim", spec, "--n-max", "60"]) == 0
+    assert {row["bound_kind"] for row in json.loads(capsys.readouterr().out)["data"]} == {
+        "lower", "upper", "box", "gap",
+    }
+    expected = Counter()
+    for name in ("l", "r"):
+        expected += _once(f"{name}.mp_value", range(1, 63))
+        expected += _once(f"{name}.log_value", range(1, 63))
+        expected += _once(f"{name}.floor", range(1, 62))
     assert calls == expected
 
 
