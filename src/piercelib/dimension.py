@@ -14,9 +14,15 @@ closed formulas over columns of bound rows (log r_k, log l_k, log Delta_k,
 log m_k or phi(k)), each row evaluated once per call, on the rows its
 formula reads; prefix sums start from a row 0 of 0, so they add in
 running-total order.  A `dim` document hands its lower/upper, box and gap
-sequences one bounds profile whose l and r read through a row memo
-(`profiles._memo_rows`), so each row's value, log and floor is evaluated
-once per document; the memo lives only as long as that document.
+sequences one bounds profile read through a row memo (`profiles._memo_rows`):
+each row's value, log and floor of l and r, its log Delta, and each row of a
+profile node that l and r share (u under n*u(n) and (n+1)*u(n)) is evaluated
+once per (row, context, precision) per document; the memo lives only as long
+as that document.
+
+`find_cover_start` proves its start instead of scanning to its limit where
+the profile allows it: for phi = c log n with c(1+eps) >= 1 the windows
+widen with n, so the scan stops at the first row wider than 1.
 """
 
 from __future__ import annotations
@@ -438,19 +444,49 @@ def find_cover_start(
 ) -> int:
     """Smallest m so that, for every scanned n >= m, the digit window
     (e^{(1-eps) phi(n)}, e^{(1+eps) phi(n)}] contains an integer and contains
-    one at least n.  Scanned up to scan_limit; failure reported, not guessed."""
+    one at least n.  Scanned up to scan_limit; failure reported, not guessed.
+
+    Rows are scanned upward.  Where phi = c log n with a rational c > 0 and
+    c(1+eps) >= 1 holds exactly, the scan stops at the first row whose two
+    certified window floors differ by at least 2: that row and every later
+    one are proved to pass (`_windows_widen`).  Every other profile, and
+    every row whose window is decided in floats, is scanned to scan_limit.
+    """
     _require_epsilon(epsilon)
+    widening = _windows_widen(phi, epsilon)
     last_bad = 0
     for n in range(phi.min_index, scan_limit + 1):
-        if not _cover_row_ok(phi, epsilon, n):
+        ok, floor_gap = _cover_row(phi, epsilon, n)
+        if not ok:
             last_bad = n
+        elif widening and floor_gap is not None and floor_gap >= 2:
+            break
     start = max(last_bad + 1, phi.min_index)
     if start > scan_limit:
         raise ValueError(f"window conditions still failing at scan limit {scan_limit}")
     return start
 
 
-def _cover_row_ok(phi: GrowthProfile, epsilon: float, n: int) -> bool:
+def _windows_widen(phi: GrowthProfile, epsilon: float) -> bool:
+    """True when phi = c log n, c a positive rational, and c(1+eps) >= 1.
+
+    With a = c(1-eps) and b = c(1+eps), the level-n window is (n^a, n^b] with
+    0 < a < b and b >= 1.  Its width n^b - n^a has derivative
+    n^(a-1) (b n^(b-a) - a) > 0 for n >= 1, so it never shrinks, and its top
+    n^b >= n.  A row whose floors differ by at least 2 has width above 1, so
+    it and every later row hold an integer, and floor(n^b) >= n.  Floors
+    above 2^53 are rounded to mpmath.mp.prec (ROADMAP item 9), but a window
+    that high is wider than 1 by orders of magnitude for any eps above
+    1e-15, so the stop stays sound there."""
+    if phi.kind != "log":
+        return False
+    c = phi.params["coeff"]
+    return isinstance(c, (int, Fraction)) and c > 0 and c * (1 + Fraction(epsilon)) >= 1
+
+
+def _cover_row(phi: GrowthProfile, epsilon: float, n: int) -> tuple[bool, int | None]:
+    """(row n's window conditions hold, floor of its top minus floor of its
+    bottom), the floor gap None where the window is decided in floats."""
     hi_exp = float(phi.mp_value(n)) * (1 + epsilon)
     if hi_exp <= 44:  # value fits comfortably below 2^64: use exact floors
         lo_floor = certified_floor(
@@ -459,12 +495,12 @@ def _cover_row_ok(phi: GrowthProfile, epsilon: float, n: int) -> bool:
         hi_floor = certified_floor(
             lambda iv: iv.exp((1 + iv.mpf(epsilon)) * phi.iv_value(n, iv))
         )
-        return lo_floor + 1 <= hi_floor and n <= hi_floor
+        return lo_floor + 1 <= hi_floor and n <= hi_floor, hi_floor - lo_floor
     # huge windows: e^{hi} - e^{lo} >= 1 and e^{hi} >= n + 1 suffice
     lo_exp = float(phi.mp_value(n)) * (1 - epsilon)
     gap = hi_exp - lo_exp
     gap_ok = gap > 40 or lo_exp + math.log(math.expm1(gap)) >= 0
-    return gap_ok and hi_exp >= math.log(n + 1)
+    return gap_ok and hi_exp >= math.log(n + 1), None
 
 
 def _cover_rows(phi: GrowthProfile, eps, m: int, last: int):
@@ -538,9 +574,31 @@ class CoverSumRecord:
 
 
 def _power_floor(sigma: int, b) -> int:
-    if isinstance(b, int) or (isinstance(b, Fraction) and b.denominator == 1):
-        return sigma ** int(b)
-    return certified_floor(lambda iv: iv.exp(iv.mpf(float(b)) * iv.log(iv.mpf(sigma))))
+    """floor(sigma^b) for a rational b = p/q >= 0, exactly: the integer q-th
+    root of sigma^p."""
+    if not isinstance(b, (int, Fraction)):
+        raise ValueError(f"growth exponent must be an int or a Fraction, got {b!r}")
+    b = Fraction(b)
+    if b < 0:
+        raise ValueError("need growth exponent b >= 0")
+    return _integer_root(sigma**b.numerator, b.denominator)
+
+
+def _integer_root(x: int, q: int) -> int:
+    """floor(x^(1/q)) for x >= 0 and q >= 1, by integer Newton from above."""
+    if q == 1:
+        return x
+    if q == 2:
+        return math.isqrt(x)
+    if x < 2:
+        return x
+    # 2^ceil(bits/q) > x^(1/q); from above, the Newton step falls to the floor root
+    r = 1 << -(-x.bit_length() // q)
+    while True:
+        s = ((q - 1) * r + x // r ** (q - 1)) // q
+        if s >= r:
+            return r
+        r = s
 
 
 def power_growth_cover_sum(

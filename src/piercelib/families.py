@@ -21,6 +21,7 @@ from .profiles import (
     GrowthProfile,
     _decode,
     _encode,
+    _memo_rows,
     affine_profile,
     certified_compare,
     exp_of_profile,
@@ -128,9 +129,12 @@ class EnumerationCapError(ValueError):
 def count_constrained_words(n: int, bounds: BoundsProfile) -> int:
     """Exact number of admissible length-n words within the digit windows:
     prod_k (floor(r_k) - floor(l_k)), valid whenever consecutive windows do
-    not overlap (r_k <= l_{k+1})."""
+    not overlap (r_k <= l_{k+1}).  The bounds are read through a row memo
+    for this call (`profiles._memo_rows`), so l and r share their nodes'
+    enclosures row by row."""
     if n < 1:
         raise ValueError("need n >= 1")
+    bounds = _memo_rows(bounds)
     total = 1
     for k in range(1, n + 1):
         total *= bounds.branch_count(k)
@@ -147,6 +151,7 @@ def enumerate_constrained_words(
     Refuses when the count exceeds `cap`; raises if overlapping windows make
     the product formula disagree with strict digit increase.
     """
+    bounds = _memo_rows(bounds)  # the count and the ranges read the same rows
     total = count_constrained_words(n, bounds)
     if total > cap:
         raise EnumerationCapError(f"{total} words exceed cap {cap}")

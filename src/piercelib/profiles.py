@@ -19,7 +19,7 @@ hold, so that a 2n / 2(n+1) prefix can be glued in front of the rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Any
 
@@ -509,44 +509,112 @@ class BoundsProfile:
 
 class _RowMemo:
     """A growth profile whose rows are each computed once while this object
-    lives.  One certified question (a `dim` document, a `find_threshold`
-    call) wraps its profiles at entry and drops the wrapper when it ends, so
-    nothing is kept across questions.  Each entry is keyed by row and by the
-    precision it was computed at: `mpmath.mp.prec` for `mp_value`,
-    `log_value` and `floor`, `iv.prec` for `iv_value`.  A row that raises is
-    not stored, so the next read raises again.  Every other attribute is the
-    wrapped profile's."""
+    lives.  One certified question (a `dim` document, a `find_threshold` or
+    `count_constrained_words` call) wraps its profiles at entry and drops the
+    wrappers when it ends, so nothing is kept across questions.  Each entry
+    is keyed by method, row and the precision it was computed at:
+    `mpmath.mp.prec` for `mp_value`, `log_value` and `floor`, `iv.prec` for
+    `iv_value`, the context's own for `_eval` and `_log`, the walks a parent
+    node reads its children through.  A row that raises is not stored, so the
+    next read raises again.  Every other attribute is the wrapped profile's."""
 
     def __init__(self, profile: GrowthProfile):
         self._profile = profile
-        self._rows: dict[tuple[str, int, int], Any] = {}
+        self._rows: dict[tuple, Any] = {}
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._profile, name)
 
-    def _row(self, method: str, n: int, prec: int, *args):
-        key = (method, n, prec)
+    def _row(self, method: str, prec: int, *args):
+        key = (method, prec, *args)
         if key not in self._rows:
-            self._rows[key] = getattr(self._profile, method)(n, *args)
+            self._rows[key] = getattr(self._profile, method)(*args)
         return self._rows[key]
 
     def mp_value(self, n: int) -> mpmath.mpf:
-        return self._row("mp_value", n, mpmath.mp.prec)
+        return self._row("mp_value", mpmath.mp.prec, n)
 
     def log_value(self, n: int) -> mpmath.mpf:
-        return self._row("log_value", n, mpmath.mp.prec)
+        return self._row("log_value", mpmath.mp.prec, n)
 
     def floor(self, n: int) -> int:
         # a certified floor rounds its endpoints at mpmath.mp.prec
-        return self._row("floor", n, mpmath.mp.prec)
+        return self._row("floor", mpmath.mp.prec, n)
 
     def iv_value(self, n: int, iv) -> object:
-        return self._row("iv_value", n, iv.prec, iv)
+        return self._row("iv_value", iv.prec, n, iv)
+
+    def _eval(self, ctx, n: int):
+        return self._row("_eval", ctx.prec, ctx, n)
+
+    def _log(self, ctx, n: int):
+        return self._row("_log", ctx.prec, ctx, n)
+
+
+def _memo_dag(*roots: GrowthProfile) -> list:
+    """The roots, each read through a fresh `_RowMemo`, rebuilt so that every
+    node reached more than once below them (by identity: u under n*u(n) and
+    (n+1)*u(n), say) is read through one shared `_RowMemo` too.  A node
+    reached once is not wrapped, and is rebuilt only when a node below it is."""
+    seen: set[int] = set()
+    shared = {id(root) for root in roots}
+
+    def visit(node: GrowthProfile) -> None:
+        if id(node) in seen:
+            shared.add(id(node))
+            return
+        seen.add(id(node))
+        for child in node.params.values():
+            if isinstance(child, GrowthProfile):
+                visit(child)
+
+    built: dict[int, Any] = {}
+
+    def rebuild(node: GrowthProfile):
+        if id(node) not in built:
+            children = {
+                key: rebuild(child)
+                for key, child in node.params.items()
+                if isinstance(child, GrowthProfile)
+            }
+            new = node
+            if any(children[key] is not node.params[key] for key in children):
+                new = replace(node, params={**node.params, **children})
+            built[id(node)] = _RowMemo(new) if id(node) in shared else new
+        return built[id(node)]
+
+    for root in roots:
+        visit(root)
+    return [rebuild(root) for root in roots]
+
+
+@dataclass(frozen=True)
+class _MemoBounds(BoundsProfile):
+    """A bounds profile from `_memo_rows`: l and r share one row memo over
+    their profile DAG, and log Delta is computed once per (row,
+    `mpmath.mp.prec`) while this object lives."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_log_deltas", {})
+
+    def log_delta(self, n: int) -> mpmath.mpf:
+        key = (n, mpmath.mp.prec)
+        if key not in self._log_deltas:
+            self._log_deltas[key] = super().log_delta(n)
+        return self._log_deltas[key]
 
 
 def _memo_rows(bounds: BoundsProfile) -> BoundsProfile:
-    """`bounds` with l and r each read through a fresh `_RowMemo`."""
-    return replace(bounds, l=_RowMemo(bounds.l), r=_RowMemo(bounds.r))
+    """`bounds` read through one memo for the question at hand: l, r and the
+    nodes they share (`_memo_dag`), and log Delta.  The memo lives as long as
+    the returned bounds, which the question drops when it ends.  Bounds that
+    already come from here are returned as they are, so a nested call (the
+    count inside a `dim` document's box sequence) shares the memo."""
+    if isinstance(bounds, _MemoBounds):
+        return bounds
+    l, r = _memo_dag(bounds.l, bounds.r)
+    kept = {f.name: getattr(bounds, f.name) for f in fields(BoundsProfile)}
+    return _MemoBounds(**{**kept, "l": l, "r": r})
 
 
 class ThresholdNotFound(ValueError):
@@ -624,13 +692,13 @@ def find_threshold(l: GrowthProfile, r: GrowthProfile, n_limit: int) -> int:
     Raises ThresholdNotFound naming the condition that fails last and
     whether it was decided false or left undecided.
 
-    l and r are read through a `_RowMemo` that lives for this call, so each
-    (row, precision) enclosure is built once, however many pairs and splice
-    checks read it.
+    l, r and every node they share are read through a `_RowMemo` that lives
+    for this call (`_memo_dag`), so each (row, precision) enclosure is built
+    once, however many pairs and splice checks read it.
     """
     if n_limit < 1:
         raise ProfileError("n_limit must be >= 1")
-    l, r = _RowMemo(l), _RowMemo(r)
+    l, r = _memo_dag(l, r)
     failures: dict[int, tuple[str, bool]] = {}
     for n in range(max(1, l.min_index), n_limit + 1):
         bad = _pair_conditions(l, r, n)

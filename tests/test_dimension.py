@@ -8,9 +8,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from piercelib import cli
+from piercelib import cli, dimension
+from piercelib._precision import PrecisionError
 from piercelib.dimension import (
+    _power_floor,
     analytic_dimension,
     box_ratio_sequence,
     count_log_bounds,
@@ -32,9 +36,12 @@ from piercelib.profiles import (
     affine_profile,
     bounds_from_scale,
     builtin_profiles,
+    exponential_profile,
     lil_profile,
+    linear_log_profile,
     log_profile,
     power_profile,
+    sqrt_profile,
     table_profile,
 )
 
@@ -236,16 +243,17 @@ def test_each_bound_row_is_evaluated_once(monkeypatch, sequence, expected):
 
 
 def test_each_bound_row_is_evaluated_once_per_dim_document(monkeypatch, capsys):
-    # lower/upper, box and gap of one document share one row memo
+    # lower/upper, box and gap of one document share one row memo; the rows
+    # are counted on the profiles that memo reads (l and r rebuilt over u)
     owners = {}
-    made = cli._bounds_for_spec
+    made = cli._memo_rows
 
-    def capture(spec, window):
-        bounds = made(spec, window)
-        owners.update(l=bounds.l, r=bounds.r)
-        return bounds
+    def capture(bounds):
+        memo = made(bounds)
+        owners.update(l=memo.l._profile, r=memo.r._profile)
+        return memo
 
-    monkeypatch.setattr(cli, "_bounds_for_spec", capture)
+    monkeypatch.setattr(cli, "_memo_rows", capture)
     calls = _record_rows(
         monkeypatch,
         owners,
@@ -264,6 +272,45 @@ def test_each_bound_row_is_evaluated_once_per_dim_document(monkeypatch, capsys):
         expected += _once(f"{name}.log_value", range(1, 63))
         expected += _once(f"{name}.floor", range(1, 62))
     assert calls == expected
+
+
+def test_a_dim_document_evaluates_shared_rows_once(monkeypatch, capsys):
+    # u = exp(sqrt n) sits under both n*u(n) and (n+1)*u(n), and log Delta is
+    # read by the lower/upper, box and gap sequences alike
+    walks, deltas = Counter(), Counter()
+    original_eval, original_delta = GrowthProfile._eval, BoundsProfile.log_delta
+
+    def counting_eval(self, ctx, n):
+        if self.label == "scale_exp_sqrt":
+            walks[(n, ctx is mpmath.iv, ctx.prec)] += 1
+        return original_eval(self, ctx, n)
+
+    def counting_delta(self, n):
+        deltas[n] += 1
+        return original_delta(self, n)
+
+    made = cli._memo_rows
+
+    def fresh(bounds):
+        walks.clear()  # the document's reads, not bounds_from_scale's certificate
+        return made(bounds)
+
+    monkeypatch.setattr(GrowthProfile, "_eval", counting_eval)
+    monkeypatch.setattr(BoundsProfile, "log_delta", counting_delta)
+    monkeypatch.setattr(cli, "_memo_rows", fresh)
+    spec = json.dumps(
+        {"family": "E_star", "params": {"u": {"kind": "builtin", "name": "scale_exp_sqrt"}}}
+    )
+    assert cli.main(["dim", spec, "--n-max", "60"]) == 0
+    assert {row["bound_kind"] for row in json.loads(capsys.readouterr().out)["data"]} == {
+        "lower", "upper", "box", "gap",
+    }
+    # values and logs on rows 1..62 in mpmath.mp, enclosures for the floors
+    # of rows 1..61 in mpmath.iv; each once per (row, context, precision)
+    assert {n for n, in_iv, _ in walks if not in_iv} == set(range(1, 63))
+    assert {n for n, in_iv, _ in walks if in_iv} == set(range(1, 62))
+    assert set(walks.values()) == {1}
+    assert deltas == Counter(range(1, 63))
 
 
 def test_each_phi_row_is_evaluated_once(monkeypatch):
@@ -420,6 +467,141 @@ def test_find_cover_start():
     assert find_cover_start(builtin_profiles()["geometric3"], 0.01) == 1
 
 
+def _full_scan_row_ok(phi, epsilon, n):
+    """Row n's window conditions as `find_cover_start` decided them before
+    its widening rule: two certified floors, or floats above e^44."""
+    hi_exp = float(phi.mp_value(n)) * (1 + epsilon)
+    if hi_exp <= 44:
+        lo_floor = dimension.certified_floor(
+            lambda iv: iv.exp((1 - iv.mpf(epsilon)) * phi.iv_value(n, iv))
+        )
+        hi_floor = dimension.certified_floor(
+            lambda iv: iv.exp((1 + iv.mpf(epsilon)) * phi.iv_value(n, iv))
+        )
+        return lo_floor + 1 <= hi_floor and n <= hi_floor
+    lo_exp = float(phi.mp_value(n)) * (1 - epsilon)
+    gap = hi_exp - lo_exp
+    gap_ok = gap > 40 or lo_exp + math.log(math.expm1(gap)) >= 0
+    return gap_ok and hi_exp >= math.log(n + 1)
+
+
+def _full_scan_cover_start(phi, epsilon, scan_limit=256):
+    """`find_cover_start` as it was before its widening rule: every row up
+    to scan_limit is decided.  Kept as the oracle for the rule."""
+    last_bad = 0
+    for n in range(phi.min_index, scan_limit + 1):
+        if not _full_scan_row_ok(phi, epsilon, n):
+            last_bad = n
+    start = max(last_bad + 1, phi.min_index)
+    if start > scan_limit:
+        raise ValueError(f"window conditions still failing at scan limit {scan_limit}")
+    return start
+
+
+def _cover_outcome(search, phi, epsilon, scan_limit):
+    try:
+        return search(phi, epsilon, scan_limit)
+    except (ValueError, PrecisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def _log_cover_cases(draw):
+    """(log profile, eps, scan limit) with c(1+eps) at 1, just below it, or
+    a random positive rational c, up to windows decided in floats."""
+    eps = float(draw(st.fractions(Fraction(1, 1000), Fraction(999, 1000), max_denominator=1000)))
+    top = {
+        "random": None,
+        "at_one": Fraction(1),
+        "below_one": 1 - Fraction(1, 10**6),
+    }[draw(st.sampled_from(["random"] * 6 + ["below_one"] * 2 + ["at_one"]))]
+    if top is None:
+        c = draw(st.fractions(Fraction(1, 20), 40, max_denominator=20).filter(lambda v: v > 0))
+    else:
+        c = top / (1 + Fraction(eps))
+    return log_profile(c), eps, draw(st.integers(2, 256))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_log_cover_cases())
+# at c(1+eps) = 1 the top of row 2 is exactly 2: both raise PrecisionError
+@example((log_profile(1 / (1 + Fraction(0.25))), 0.25, 256))
+def test_cover_start_rule_agrees_with_the_full_scan(case):
+    phi, epsilon, scan_limit = case
+    assert _cover_outcome(find_cover_start, phi, epsilon, scan_limit) == _cover_outcome(
+        _full_scan_cover_start, phi, epsilon, scan_limit
+    )
+
+
+def test_cover_start_after_a_failing_row_two():
+    # 2^(17/5 * 0.99) and 2^(17/5 * 1.01) share the floor 10, so row 2 fails
+    phi = log_profile(Fraction(17, 5))
+    assert find_cover_start(phi, 0.01) == _full_scan_cover_start(phi, 0.01) == 3
+
+
+def test_cover_start_is_not_stopped_by_a_narrow_window_that_holds_an_integer():
+    # row 6's window (10.65, 11.17] holds 11 but is narrower than 1, and
+    # row 7's (13.05, 13.74] holds none: the scan runs on to row 10
+    phi = log_profile(Fraction(4, 3))
+    assert find_cover_start(phi, 0.01) == _full_scan_cover_start(phi, 0.01) == 8
+
+
+def _count_floors(monkeypatch):
+    """A list that gains one entry per certified floor `dimension` takes."""
+    rows = []
+    original = dimension.certified_floor
+
+    def counting(expr, *args):
+        rows.append(expr)
+        return original(expr, *args)
+
+    monkeypatch.setattr(dimension, "certified_floor", counting)
+    return rows
+
+
+def test_cover_start_rule_stops_at_the_first_row_wider_than_one(monkeypatch):
+    floors = _count_floors(monkeypatch)
+    assert find_cover_start(builtin_profiles()["log2"], 0.01) == 2
+    # rows 2..6, the first whose floors (34, 37) differ by 2 or more; the
+    # full scan takes two floors on each of rows 2..256
+    assert len(floors) <= 12
+    floors.clear()
+    assert _full_scan_cover_start(builtin_profiles()["log2"], 0.01) == 2
+    assert len(floors) == 510
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        builtin_profiles()["geometric3"],
+        sqrt_profile(),
+        power_profile(2),
+        linear_log_profile(3),
+        exponential_profile(Fraction(3, 2), coeff=Fraction(1, 7)),
+        table_profile([Fraction(k, 3) for k in range(1, 257)]),
+        log_profile(2.0),  # a float coeff is outside the rule
+        log_profile(Fraction(1, 2)),  # c(1+eps) < 1 is outside the rule
+    ],
+    ids=lambda phi: phi.label,
+)
+def test_kinds_outside_the_cover_rule_are_scanned_as_before(monkeypatch, phi):
+    reads = Counter()
+    original = GrowthProfile.mp_value
+
+    def counting(self, n):
+        reads[n] += 1
+        return original(self, n)
+
+    monkeypatch.setattr(GrowthProfile, "mp_value", counting)
+    floors = _count_floors(monkeypatch)
+    got = _cover_outcome(find_cover_start, phi, 0.01, 256)
+    calls = (Counter(reads), len(floors))
+    reads.clear()
+    floors.clear()
+    assert got == _cover_outcome(_full_scan_cover_start, phi, 0.01, 256)
+    assert calls == (reads, len(floors))
+
+
 def test_cover_bound_positive():
     v = window_cover_bound(builtin_profiles()["log2"], 0.01, 2, 50)
     assert float(v) > 0
@@ -456,6 +638,27 @@ def test_power_growth_diameter_example():
     # closed-form diameter of the infinite child union below (1, 2) with b = 2
     record = power_growth_cover_sum((1, 2), 2, 1.0, 2, cap=1)
     assert math.exp(record.log_sum) == pytest.approx(0.1, abs=1e-12)
+
+
+def test_power_floor_is_the_exact_integer_root():
+    assert _power_floor(8, Fraction(4, 3)) == 16  # 8^(4/3) = 16 exactly
+    assert _power_floor(10**6, Fraction(3, 2)) == 10**9
+    assert _power_floor(7, 3) == 343
+    for b in (1.5, "3/2", Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            _power_floor(8, b)
+    # an exact power inside the cover sum is decided too
+    assert power_growth_cover_sum((2, 4), Fraction(3, 2), 0.9, 3, cap=2).word_count == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sigma=st.integers(1, 10**4),
+    b=st.fractions(0, 12, max_denominator=9),
+)
+def test_power_floor_brackets_the_root(sigma, b):
+    r, p, q = _power_floor(sigma, b), b.numerator, b.denominator
+    assert r**q <= sigma**p < (r + 1) ** q
 
 
 def test_factorial_bounds():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from piercelib.families import (
 )
 from piercelib.profiles import (
     BoundsProfile,
+    GrowthProfile,
     affine_profile,
     bounds_from_scale,
     builtin_profiles,
@@ -127,6 +129,42 @@ def test_count_matches_enumeration_random_profiles(seed):
     if count > 10_000:
         return
     assert count == len(enumerate_constrained_words(depth, bounds))
+
+
+@st.composite
+def _table_bounds(draw):
+    n = draw(st.integers(1, 8))
+    cell = st.fractions(min_value=0, max_value=40, max_denominator=3)
+    l = [draw(cell) for _ in range(n)]
+    r = [v + draw(st.fractions(min_value=0, max_value=6, max_denominator=3)) for v in l]
+    return BoundsProfile(l=table_profile(l), r=table_profile(r)), n
+
+
+@settings(max_examples=80, deadline=None)
+@given(_table_bounds())
+def test_count_is_the_plain_product_of_branch_counts(case):
+    bounds, n = case
+    rows = zip(bounds.l.params["values"], bounds.r.params["values"])
+    assert count_constrained_words(n, bounds) == math.prod(
+        max(0, math.floor(r) - math.floor(l)) for l, r in rows
+    )
+
+
+def test_count_reads_each_floor_once_per_call(monkeypatch):
+    bounds = BoundsProfile(l=table_profile([1, 3, 9, 20]), r=table_profile([2, 8, 19, 41]))
+    reads = Counter()
+    original = GrowthProfile.floor
+
+    def counting(self, n):
+        reads[("l" if self is bounds.l else "r", n)] += 1
+        return original(self, n)
+
+    monkeypatch.setattr(GrowthProfile, "floor", counting)
+    assert count_constrained_words(4, bounds) == 1 * 5 * 10 * 21
+    assert reads == Counter((side, n) for side in "lr" for n in range(1, 5))
+    # the memo lives for one call: a second count reads its rows again
+    assert count_constrained_words(4, bounds) == 1050
+    assert set(reads.values()) == {2}
 
 
 def test_membership_prefix_duality():

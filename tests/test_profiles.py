@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import piercelib
 from piercelib import profiles
 from piercelib._precision import PrecisionError, certified_floor, certified_sign
+from piercelib.families import count_constrained_words
 from piercelib.profiles import (
     DEFAULT_WINDOW,
     _decode,
@@ -260,6 +261,35 @@ def test_find_threshold_builds_each_enclosure_once(monkeypatch):
     l, r = exp_of_profile(f), profiles.exp_of_scaled_profile(f, lil_profile())
     assert find_threshold(l, r, 8) == find_threshold(l, r, 8) == 2
     assert built and set(built.values()) == {2}
+
+
+def test_shared_nodes_are_evaluated_once_per_row_and_precision(monkeypatch):
+    # f = n + beta*psi(n) sits under exp(f) and exp(f)(1 + psi/n), and psi
+    # under f and exp(f)(1 + psi/n): the memo of one question shares them
+    walks = Counter()
+    original = GrowthProfile._eval
+
+    def counting(self, ctx, n):
+        if self.label in ("n + 1*psi(n)", "lil-scale"):
+            walks[(self.label, n, ctx is mpmath.iv, ctx.prec)] += 1
+        return original(self, ctx, n)
+
+    monkeypatch.setattr(GrowthProfile, "_eval", counting)
+    bounds = deviation_bounds(lil_profile(), 1, k_limit=40, window=64)
+    assert bounds.threshold == 2
+    assert {(label, n, in_iv) for label, n, in_iv, _ in walks} == {
+        (label, n, True) for label in ("n + 1*psi(n)", "lil-scale") for n in range(1, 42)
+    }
+    assert set(walks.values()) == {1}
+    # a count over those bounds shares them between its l and r floors, and a
+    # second count reads them again
+    for _ in range(2):
+        walks.clear()
+        count_constrained_words(12, bounds)
+        assert {(label, n) for label, n, _, _ in walks} == {
+            (label, n) for label in ("n + 1*psi(n)", "lil-scale") for n in range(3, 13)
+        }
+        assert set(walks.values()) == {1}
 
 
 def test_row_memo_keys_by_precision_and_stores_no_error(monkeypatch):
