@@ -30,7 +30,7 @@ from .expansion import affine_map, expand
 from .families import EnumerationCapError, SetSpec
 from .intervals import fundamental_interval, interval_length
 from .laws import run_law
-from .profiles import DEFAULT_WINDOW, ProfileError, _memo_rows, _nondecreasing, bounds_from_scale
+from .profiles import DEFAULT_WINDOW, ProfileError, _nondecreasing, _question, bounds_from_scale
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -201,20 +201,20 @@ def cmd_dim(args) -> int:
             notes["bounds"] = f"unavailable: {exc}"
     if bounds is not None:
         _require_verified_rows(spec, args.window, args.n_max + 2)
-        # the three sequences share one row memo for this document
-        bounds = _memo_rows(bounds)
         bits = args.precision_bits
-        estimate = dimension_bound_sequences(bounds, args.n_max, bits)
-        rows += _ratio_rows(estimate.lower_seq, "lower")
-        rows += _ratio_rows(estimate.upper_seq, "upper")
-        try:
-            rows += _ratio_rows(box_ratio_sequence(bounds, args.n_max, bits, args.enum_cap), "box")
-        except (ValueError, ProfileError) as exc:
-            notes["box_sequence"] = f"unavailable: {exc}"
-        try:
-            rows += _ratio_rows(gap_ratio_sequence(bounds, args.n_max, bits), "gap")
-        except (ValueError, ProfileError) as exc:
-            notes["gap_sequence"] = f"unavailable: {exc}"
+        # the three sequences are one question: each bound row is read once
+        with _question():
+            estimate = dimension_bound_sequences(bounds, args.n_max, bits)
+            rows += _ratio_rows(estimate.lower_seq, "lower")
+            rows += _ratio_rows(estimate.upper_seq, "upper")
+            try:
+                rows += _ratio_rows(box_ratio_sequence(bounds, args.n_max, bits, args.enum_cap), "box")
+            except (ValueError, ProfileError) as exc:
+                notes["box_sequence"] = f"unavailable: {exc}"
+            try:
+                rows += _ratio_rows(gap_ratio_sequence(bounds, args.n_max, bits), "gap")
+            except (ValueError, ProfileError) as exc:
+                notes["gap_sequence"] = f"unavailable: {exc}"
     elif spec.family == "E_phi" and not report.empty and report.status != "refused":
         epsilon = 0.01
         phi = spec.params["profile"]

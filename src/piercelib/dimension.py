@@ -13,12 +13,11 @@ The ratio sequences (lower, upper, box, gap) and the two cover chains are
 closed formulas over columns of bound rows (log r_k, log l_k, log Delta_k,
 log m_k or phi(k)), each row evaluated once per call, on the rows its
 formula reads; prefix sums start from a row 0 of 0, so they add in
-running-total order.  A `dim` document hands its lower/upper, box and gap
-sequences one bounds profile read through a row memo (`profiles._memo_rows`):
-each row's value, log and floor of l and r, its log Delta, and each row of a
-profile node that l and r share (u under n*u(n) and (n+1)*u(n)) is evaluated
-once per (row, context, precision) per document; the memo lives only as long
-as that document.
+running-total order.  A `dim` document runs its lower/upper, box and gap
+sequences as one question (`profiles._question`): each row's value, log and
+floor of l and r, its log Delta, and each row of a profile node that l and r
+share (u under n*u(n) and (n+1)*u(n)) is evaluated once per (row, context,
+precision) per document, and the rows are dropped when the document ends.
 
 `find_cover_start` proves its start instead of scanning to its limit where
 the profile allows it: for phi = c log n with c(1+eps) >= 1 the windows

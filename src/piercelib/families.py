@@ -21,7 +21,7 @@ from .profiles import (
     GrowthProfile,
     _decode,
     _encode,
-    _memo_rows,
+    _question,
     affine_profile,
     certified_compare,
     exp_of_profile,
@@ -129,18 +129,18 @@ class EnumerationCapError(ValueError):
 def count_constrained_words(n: int, bounds: BoundsProfile) -> int:
     """Exact number of admissible length-n words within the digit windows:
     prod_k (floor(r_k) - floor(l_k)), valid whenever consecutive windows do
-    not overlap (r_k <= l_{k+1}).  The bounds are read through a row memo
-    for this call (`profiles._memo_rows`), so l and r share their nodes'
-    enclosures row by row."""
+    not overlap (r_k <= l_{k+1}).  The count is one question
+    (`profiles._question`), so l and r share their nodes' enclosures row by
+    row, and a count inside an open question reads that question's rows."""
     if n < 1:
         raise ValueError("need n >= 1")
-    bounds = _memo_rows(bounds)
-    total = 1
-    for k in range(1, n + 1):
-        total *= bounds.branch_count(k)
-        if total == 0:
-            return 0
-    return total
+    with _question():
+        total = 1
+        for k in range(1, n + 1):
+            total *= bounds.branch_count(k)
+            if total == 0:
+                return 0
+        return total
 
 
 def enumerate_constrained_words(
@@ -149,25 +149,27 @@ def enumerate_constrained_words(
     """All words counted by count_constrained_words, in lexicographic order.
 
     Refuses when the count exceeds `cap`; raises if overlapping windows make
-    the product formula disagree with strict digit increase.
+    the product formula disagree with strict digit increase.  The call is
+    one question (`profiles._question`), so the count and the ranges read
+    the same rows.
     """
-    bounds = _memo_rows(bounds)  # the count and the ranges read the same rows
-    total = count_constrained_words(n, bounds)
-    if total > cap:
-        raise EnumerationCapError(f"{total} words exceed cap {cap}")
-    ranges = []
-    for k in range(1, n + 1):
-        lo, hi = bounds.digit_range(k)
-        ranges.append(range(lo, hi + 1))
-    words = []
-    for tup in itertools.product(*ranges):
-        if any(b <= a for a, b in zip(tup, tup[1:])):
-            raise ValueError(
-                "digit windows overlap between levels; product enumeration "
-                "would break strict increase"
-            )
-        words.append(tup)
-    return words
+    with _question():
+        total = count_constrained_words(n, bounds)
+        if total > cap:
+            raise EnumerationCapError(f"{total} words exceed cap {cap}")
+        ranges = []
+        for k in range(1, n + 1):
+            lo, hi = bounds.digit_range(k)
+            ranges.append(range(lo, hi + 1))
+        words = []
+        for tup in itertools.product(*ranges):
+            if any(b <= a for a, b in zip(tup, tup[1:])):
+                raise ValueError(
+                    "digit windows overlap between levels; product enumeration "
+                    "would break strict increase"
+                )
+            words.append(tup)
+        return words
 
 
 # -- membership ---------------------------------------------------------------

@@ -19,7 +19,9 @@ hold, so that a 2n / 2(n+1) prefix can be glued in front of the rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -89,6 +91,43 @@ class ProfileError(ValueError):
     """Profile parameters outside their documented domain."""
 
 
+# -- question scope ---------------------------------------------------------
+
+_rows: ContextVar[dict | None] = ContextVar("piercelib_rows", default=None)
+
+
+@contextmanager
+def _question():
+    """Scope of one certified question (a `dim` document, a `find_threshold`,
+    `count_constrained_words` or `enumerate_constrained_words` call): inside
+    it `_recall` computes each row once.  A question opened inside another
+    (the count in a document's box sequence) shares the open one's rows, and
+    the rows are dropped when the outermost question ends."""
+    if _rows.get() is not None:
+        yield
+        return
+    token = _rows.set({})
+    try:
+        yield
+    finally:
+        _rows.reset(token)
+
+
+def _recall(owner: Any, key: tuple, compute, *args):
+    """`compute(*args)`, computed once per (owner, key) inside a question and
+    every time outside one.  A row that raises is not stored, so the next
+    read raises again.  The rows hold `owner` under its id, so no new object
+    can take that id while the question lives."""
+    rows = _rows.get()
+    if rows is None:
+        return compute(*args)
+    slot = (id(owner), *key)
+    if slot not in rows:
+        rows[slot] = compute(*args)
+        rows[id(owner)] = owner
+    return rows[slot]
+
+
 @dataclass(frozen=True)
 class GrowthProfile:
     """One positive sequence n -> value, n >= min_index.
@@ -114,7 +153,8 @@ class GrowthProfile:
 
     `value` is exact where the formula is rational; `mp_value`, `iv_value`
     and `log_value` are one evaluator (`_eval`, `_log`) over `mpmath.mp` or
-    `mpmath.iv`.
+    `mpmath.iv`.  Inside a question (`_question`) each value and log, and the
+    child rows the walks read, is computed once per (context, precision, row).
     """
 
     kind: str
@@ -176,15 +216,21 @@ class GrowthProfile:
 
     def mp_value(self, n: int) -> mpmath.mpf:
         """Value at n as an mpf under the caller's mpmath precision."""
-        return self._eval(mpmath.mp, n)
+        return self._row(mpmath.mp, n)
 
     def iv_value(self, n: int, iv) -> object:
         """Directed-rounding interval enclosure of the value at n."""
-        return self._eval(iv, n)
+        return self._row(iv, n)
 
     def log_value(self, n: int) -> mpmath.mpf:
         """Natural log of the value, computed without overflowing exponents."""
-        return self._log(mpmath.mp, n)
+        return self._log_row(mpmath.mp, n)
+
+    def _row(self, ctx, n: int):
+        return _recall(self, ("value", ctx, ctx.prec, n), self._eval, ctx, n)
+
+    def _log_row(self, ctx, n: int):
+        return _recall(self, ("log", ctx, ctx.prec, n), self._log, ctx, n)
 
     def _eval(self, ctx, n: int):
         """Value at n in the context `ctx`: `mpmath.mp` rounds to nearest,
@@ -209,15 +255,15 @@ class GrowthProfile:
         if k == "affine":
             return _num(ctx, p["a"]) * n + _num(ctx, p.get("b", 0))
         if k == "deviation":
-            return n + _num(ctx, p["beta"]) * p["psi"]._eval(ctx, n)
+            return n + _num(ctx, p["beta"]) * p["psi"]._row(ctx, n)
         if k == "index_scaled":
-            return (n + p.get("offset", 0)) * p["u"]._eval(ctx, n)
+            return (n + p.get("offset", 0)) * p["u"]._row(ctx, n)
         if k == "exp_of":
-            return ctx.exp(p["inner"]._eval(ctx, n))
+            return ctx.exp(p["inner"]._row(ctx, n))
         if k == "exp_of_scaled":
-            return ctx.exp(p["inner"]._eval(ctx, n)) * (1 + p["psi"]._eval(ctx, n) / n)
+            return ctx.exp(p["inner"]._row(ctx, n)) * (1 + p["psi"]._row(ctx, n) / n)
         if k == "piecewise":
-            return self._branch(n)._eval(ctx, n)
+            return self._branch(n)._row(ctx, n)
         raise ProfileError(f"no float path for kind {self.kind!r}")
 
     def _log(self, ctx, n: int):
@@ -226,25 +272,29 @@ class GrowthProfile:
         self._check_index(n)
         k, p = self.kind, self.params
         if k == "exp_of":
-            return p["inner"]._eval(ctx, n)
+            return p["inner"]._row(ctx, n)
         if k == "exp_of_scaled":
-            return p["inner"]._eval(ctx, n) + ctx.log(1 + p["psi"]._eval(ctx, n) / n)
+            return p["inner"]._row(ctx, n) + ctx.log(1 + p["psi"]._row(ctx, n) / n)
         if (k == "exponential" or k == "power") and p.get("shift", 0) == 0:
             a = _num(ctx, p["a"])
             log_base = n * ctx.log(a) if k == "exponential" else a * ctx.log(n)
             return ctx.log(_num(ctx, p.get("coeff", 1))) + log_base
         if k == "piecewise":
-            return self._branch(n)._log(ctx, n)
+            return self._branch(n)._log_row(ctx, n)
         exact = self.value(n)
         if exact is not None:
             if exact <= 0:
                 raise ProfileError(f"log of non-positive value {exact} at n={n}")
             return ctx.log(ctx.mpf(exact.numerator)) - ctx.log(ctx.mpf(exact.denominator))
-        return ctx.log(self._eval(ctx, n))
+        return ctx.log(self._row(ctx, n))
 
     def floor(self, n: int) -> int:
         """Exact integer part of the value at n (certified for irrational
-        formulas by precision escalation)."""
+        formulas by precision escalation).  A question keys it by
+        `mpmath.mp.prec` too: the certified floor rounds its endpoints there."""
+        return _recall(self, ("floor", mpmath.mp.prec, n), self._floor, n)
+
+    def _floor(self, n: int) -> int:
         exact = self.value(n)
         if exact is not None:
             return exact.numerator // exact.denominator
@@ -482,6 +532,10 @@ class BoundsProfile:
         return self.r.mp_value(n) - self.l.mp_value(n)
 
     def log_delta(self, n: int) -> mpmath.mpf:
+        """log(r(n) - l(n)), once per (row, `mpmath.mp.prec`) in a question."""
+        return _recall(self, ("log_delta", mpmath.mp.prec, n), self._log_delta, n)
+
+    def _log_delta(self, n: int) -> mpmath.mpf:
         delta = self.mp_delta(n)
         if delta <= 0:
             raise ProfileError(f"non-positive digit window at level {n}")
@@ -505,116 +559,6 @@ class BoundsProfile:
             label=data.get("label", ""),
             scale=GrowthProfile.from_dict(scale) if scale else None,
         )
-
-
-class _RowMemo:
-    """A growth profile whose rows are each computed once while this object
-    lives.  One certified question (a `dim` document, a `find_threshold` or
-    `count_constrained_words` call) wraps its profiles at entry and drops the
-    wrappers when it ends, so nothing is kept across questions.  Each entry
-    is keyed by method, row and the precision it was computed at:
-    `mpmath.mp.prec` for `mp_value`, `log_value` and `floor`, `iv.prec` for
-    `iv_value`, the context's own for `_eval` and `_log`, the walks a parent
-    node reads its children through.  A row that raises is not stored, so the
-    next read raises again.  Every other attribute is the wrapped profile's."""
-
-    def __init__(self, profile: GrowthProfile):
-        self._profile = profile
-        self._rows: dict[tuple, Any] = {}
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._profile, name)
-
-    def _row(self, method: str, prec: int, *args):
-        key = (method, prec, *args)
-        if key not in self._rows:
-            self._rows[key] = getattr(self._profile, method)(*args)
-        return self._rows[key]
-
-    def mp_value(self, n: int) -> mpmath.mpf:
-        return self._row("mp_value", mpmath.mp.prec, n)
-
-    def log_value(self, n: int) -> mpmath.mpf:
-        return self._row("log_value", mpmath.mp.prec, n)
-
-    def floor(self, n: int) -> int:
-        # a certified floor rounds its endpoints at mpmath.mp.prec
-        return self._row("floor", mpmath.mp.prec, n)
-
-    def iv_value(self, n: int, iv) -> object:
-        return self._row("iv_value", iv.prec, n, iv)
-
-    def _eval(self, ctx, n: int):
-        return self._row("_eval", ctx.prec, ctx, n)
-
-    def _log(self, ctx, n: int):
-        return self._row("_log", ctx.prec, ctx, n)
-
-
-def _memo_dag(*roots: GrowthProfile) -> list:
-    """The roots, each read through a fresh `_RowMemo`, rebuilt so that every
-    node reached more than once below them (by identity: u under n*u(n) and
-    (n+1)*u(n), say) is read through one shared `_RowMemo` too.  A node
-    reached once is not wrapped, and is rebuilt only when a node below it is."""
-    seen: set[int] = set()
-    shared = {id(root) for root in roots}
-
-    def visit(node: GrowthProfile) -> None:
-        if id(node) in seen:
-            shared.add(id(node))
-            return
-        seen.add(id(node))
-        for child in node.params.values():
-            if isinstance(child, GrowthProfile):
-                visit(child)
-
-    built: dict[int, Any] = {}
-
-    def rebuild(node: GrowthProfile):
-        if id(node) not in built:
-            children = {
-                key: rebuild(child)
-                for key, child in node.params.items()
-                if isinstance(child, GrowthProfile)
-            }
-            new = node
-            if any(children[key] is not node.params[key] for key in children):
-                new = replace(node, params={**node.params, **children})
-            built[id(node)] = _RowMemo(new) if id(node) in shared else new
-        return built[id(node)]
-
-    for root in roots:
-        visit(root)
-    return [rebuild(root) for root in roots]
-
-
-@dataclass(frozen=True)
-class _MemoBounds(BoundsProfile):
-    """A bounds profile from `_memo_rows`: l and r share one row memo over
-    their profile DAG, and log Delta is computed once per (row,
-    `mpmath.mp.prec`) while this object lives."""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_log_deltas", {})
-
-    def log_delta(self, n: int) -> mpmath.mpf:
-        key = (n, mpmath.mp.prec)
-        if key not in self._log_deltas:
-            self._log_deltas[key] = super().log_delta(n)
-        return self._log_deltas[key]
-
-
-def _memo_rows(bounds: BoundsProfile) -> BoundsProfile:
-    """`bounds` read through one memo for the question at hand: l, r and the
-    nodes they share (`_memo_dag`), and log Delta.  The memo lives as long as
-    the returned bounds, which the question drops when it ends.  Bounds that
-    already come from here are returned as they are, so a nested call (the
-    count inside a `dim` document's box sequence) shares the memo."""
-    if isinstance(bounds, _MemoBounds):
-        return bounds
-    l, r = _memo_dag(bounds.l, bounds.r)
-    kept = {f.name: getattr(bounds, f.name) for f in fields(BoundsProfile)}
-    return _MemoBounds(**{**kept, "l": l, "r": r})
 
 
 class ThresholdNotFound(ValueError):
@@ -692,31 +636,31 @@ def find_threshold(l: GrowthProfile, r: GrowthProfile, n_limit: int) -> int:
     Raises ThresholdNotFound naming the condition that fails last and
     whether it was decided false or left undecided.
 
-    l, r and every node they share are read through a `_RowMemo` that lives
-    for this call (`_memo_dag`), so each (row, precision) enclosure is built
-    once, however many pairs and splice checks read it.
+    The search is one question (`_question`): each (row, precision)
+    enclosure of l, r and every node below them is built once, however many
+    pairs and splice checks read it.
     """
     if n_limit < 1:
         raise ProfileError("n_limit must be >= 1")
-    l, r = _memo_dag(l, r)
-    failures: dict[int, tuple[str, bool]] = {}
-    for n in range(max(1, l.min_index), n_limit + 1):
-        bad = _pair_conditions(l, r, n)
-        if bad is not None:
-            failures[n] = bad
-    last_bad = max(failures) if failures else 0
-    start = max(last_bad, l.min_index - 1)
-    for k in range(start, n_limit):
-        # splice checks are ">=": a tie holds; undecided is not certified, so it fails
-        if certified_compare(((1, l, k + 1),), 2 * (k + 1)) not in (0, 1):
-            continue
-        if k >= 1 and certified_compare(((2, l, k + 1), (-1, r, k + 1)), 1) not in (0, 1):
-            continue
-        return k
-    if failures:
-        condition, undecided = failures[last_bad]
-        raise ThresholdNotFound(condition, last_bad, n_limit, undecided)
-    raise ThresholdNotFound("splice l(K+1) >= 2(K+1)", n_limit, n_limit)
+    with _question():
+        failures: dict[int, tuple[str, bool]] = {}
+        for n in range(max(1, l.min_index), n_limit + 1):
+            bad = _pair_conditions(l, r, n)
+            if bad is not None:
+                failures[n] = bad
+        last_bad = max(failures) if failures else 0
+        start = max(last_bad, l.min_index - 1)
+        for k in range(start, n_limit):
+            # splice checks are ">=": a tie holds; undecided is not certified, so it fails
+            if certified_compare(((1, l, k + 1),), 2 * (k + 1)) not in (0, 1):
+                continue
+            if k >= 1 and certified_compare(((2, l, k + 1), (-1, r, k + 1)), 1) not in (0, 1):
+                continue
+            return k
+        if failures:
+            condition, undecided = failures[last_bad]
+            raise ThresholdNotFound(condition, last_bad, n_limit, undecided)
+        raise ThresholdNotFound("splice l(K+1) >= 2(K+1)", n_limit, n_limit)
 
 
 def bounds_from_scale(u: GrowthProfile, window: int = DEFAULT_WINDOW) -> BoundsProfile:

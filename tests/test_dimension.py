@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from piercelib import cli, dimension
+from piercelib import cli, dimension, profiles
 from piercelib._precision import PrecisionError
 from piercelib.dimension import (
     _power_floor,
@@ -29,7 +30,7 @@ from piercelib.dimension import (
     window_cover_chains,
 )
 from piercelib.families import SetSpec, emptiness_check
-from piercelib.intervals import log_epsilon_n
+from piercelib.intervals import family_basic_interval, log_epsilon_n
 from piercelib.profiles import (
     BoundsProfile,
     GrowthProfile,
@@ -242,23 +243,41 @@ def test_each_bound_row_is_evaluated_once(monkeypatch, sequence, expected):
     assert calls == expected
 
 
+def _record_computations(monkeypatch, owners):
+    """Count the uncached computations per (name, row) of the named owners:
+    the `_eval` and `_log` walks in mpmath.mp, the floor computation and the
+    log-Delta computation."""
+    calls = Counter()
+    for cls, method in (
+        (GrowthProfile, "_eval"),
+        (GrowthProfile, "_log"),
+        (GrowthProfile, "_floor"),
+        (BoundsProfile, "_log_delta"),
+    ):
+        def wrapper(self, *args, _method=method, _original=getattr(cls, method)):
+            if len(args) == 1 or args[0] is mpmath.mp:
+                for name, owner in owners.items():
+                    if self is owner:
+                        calls[(f"{name}.{_method}", args[-1])] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, method, wrapper)
+    return calls
+
+
 def test_each_bound_row_is_evaluated_once_per_dim_document(monkeypatch, capsys):
-    # lower/upper, box and gap of one document share one row memo; the rows
-    # are counted on the profiles that memo reads (l and r rebuilt over u)
+    # lower/upper, box and gap of one document are one question; the rows
+    # are counted on the l and r of the bounds the document is built from
     owners = {}
-    made = cli._memo_rows
+    made = cli._bounds_for_spec
 
-    def capture(bounds):
-        memo = made(bounds)
-        owners.update(l=memo.l._profile, r=memo.r._profile)
-        return memo
+    def capture(spec, window):
+        bounds = made(spec, window)
+        owners.update(l=bounds.l, r=bounds.r)
+        return bounds
 
-    monkeypatch.setattr(cli, "_memo_rows", capture)
-    calls = _record_rows(
-        monkeypatch,
-        owners,
-        ((GrowthProfile, "mp_value"), (GrowthProfile, "log_value"), (GrowthProfile, "floor")),
-    )
+    monkeypatch.setattr(cli, "_bounds_for_spec", capture)
+    calls = _record_computations(monkeypatch, owners)
     spec = json.dumps(
         {"family": "E_star", "params": {"u": {"kind": "builtin", "name": "scale_geometric3"}}}
     )
@@ -268,9 +287,9 @@ def test_each_bound_row_is_evaluated_once_per_dim_document(monkeypatch, capsys):
     }
     expected = Counter()
     for name in ("l", "r"):
-        expected += _once(f"{name}.mp_value", range(1, 63))
-        expected += _once(f"{name}.log_value", range(1, 63))
-        expected += _once(f"{name}.floor", range(1, 62))
+        expected += _once(f"{name}._eval", range(1, 63))
+        expected += _once(f"{name}._log", range(1, 63))
+        expected += _once(f"{name}._floor", range(1, 62))
     assert calls == expected
 
 
@@ -278,7 +297,7 @@ def test_a_dim_document_evaluates_shared_rows_once(monkeypatch, capsys):
     # u = exp(sqrt n) sits under both n*u(n) and (n+1)*u(n), and log Delta is
     # read by the lower/upper, box and gap sequences alike
     walks, deltas = Counter(), Counter()
-    original_eval, original_delta = GrowthProfile._eval, BoundsProfile.log_delta
+    original_eval, original_delta = GrowthProfile._eval, BoundsProfile._log_delta
 
     def counting_eval(self, ctx, n):
         if self.label == "scale_exp_sqrt":
@@ -289,15 +308,16 @@ def test_a_dim_document_evaluates_shared_rows_once(monkeypatch, capsys):
         deltas[n] += 1
         return original_delta(self, n)
 
-    made = cli._memo_rows
+    made = cli._bounds_for_spec
 
-    def fresh(bounds):
+    def fresh(spec, window):
+        bounds = made(spec, window)
         walks.clear()  # the document's reads, not bounds_from_scale's certificate
-        return made(bounds)
+        return bounds
 
     monkeypatch.setattr(GrowthProfile, "_eval", counting_eval)
-    monkeypatch.setattr(BoundsProfile, "log_delta", counting_delta)
-    monkeypatch.setattr(cli, "_memo_rows", fresh)
+    monkeypatch.setattr(BoundsProfile, "_log_delta", counting_delta)
+    monkeypatch.setattr(cli, "_bounds_for_spec", fresh)
     spec = json.dumps(
         {"family": "E_star", "params": {"u": {"kind": "builtin", "name": "scale_exp_sqrt"}}}
     )
@@ -311,6 +331,33 @@ def test_a_dim_document_evaluates_shared_rows_once(monkeypatch, capsys):
     assert {n for n, in_iv, _ in walks if in_iv} == set(range(1, 62))
     assert set(walks.values()) == {1}
     assert deltas == Counter(range(1, 63))
+
+
+@pytest.mark.parametrize("scale", ["scale_geometric3", "scale_exp_sqrt"])
+def test_bound_sequences_sandwich_the_natural_measure(scale):
+    # Mass distribution: mu picks each admissible digit uniformly, level by
+    # level, so mu(I_n) = 1/prod_{k<=n} m_k for the basic interval I_n of a
+    # word.  The local ratio log(1/mu(I_n)) / log(1/|I_n|) of sampled words
+    # must lie between the lower and upper sequences.  geometric3 rows are
+    # exact; exp-sqrt rows take the mpmath.iv floors.
+    bounds = bounds_from_scale(builtin_profiles()[scale])
+    with profiles._question():
+        scoped = dimension_bound_sequences(bounds, 60)
+    estimate = dimension_bound_sequences(bounds, 60)
+    assert estimate == scoped
+    lower = {p.n: p.ratio for p in estimate.lower_seq}
+    upper = {p.n: p.ratio for p in estimate.upper_seq}
+    rng = random.Random(8)  # pre-registered
+    for n in (20, 40, 60):
+        for _ in range(5):
+            word, log_mass = [], 0.0
+            for k in range(1, n + 1):
+                lo, hi = bounds.digit_range(k)
+                word.append(rng.randint(lo, hi))
+                log_mass += math.log(hi - lo + 1)
+            length = family_basic_interval(tuple(word), bounds).length
+            ratio = log_mass / (math.log(length.denominator) - math.log(length.numerator))
+            assert lower[n] <= ratio <= upper[n]
 
 
 def test_each_phi_row_is_evaluated_once(monkeypatch):

@@ -229,6 +229,52 @@ def test_acceptance_exact_fallback_matches_fraction():
         assert sampler.bits_used == sum(bits for bits, _ in script[:used])
 
 
+class _CellNeedsAnotherRung(Exception):
+    """The first-rung cell of v did not settle the digit."""
+
+
+class _FirstRung:
+    """Stands in for random.Random: hands out one k-bit value a, then raises
+    `_CellNeedsAnotherRung` instead of a refinement's further bits."""
+
+    def __init__(self, bits: int):
+        self.bits, self.a = bits, None
+
+    def getrandbits(self, k: int) -> int:
+        if self.a is None:
+            raise _CellNeedsAnotherRung
+        assert k == self.bits
+        a, self.a = self.a, None
+        return a
+
+
+@pytest.mark.parametrize(
+    "m,bits,resolved,unresolved",
+    [(1, 17, 130_349, 723), (2, 18, 260_698, 1_446), (3, 18, 260_374, 1_770)],
+)
+def test_first_rung_digit_law_is_exact(m, bits, resolved, unresolved):
+    # The first rung draws a and fixes v to the cell (a/2^k, (a+1)/2^k].  A
+    # digit d may be returned there only when the whole cell lies in its
+    # preimage M/(d+1) < v <= M/d; a cell that returns none must meet two
+    # preimages (or be the cell of v = 0).  Over every a, that is the exact
+    # law P(d | M) cell by cell, in integers and without sampling.
+    sampler = DigitSampler(0)
+    sampler._rng = _FirstRung(bits)
+    scaled = m << bits
+    counts = [0, 0]
+    for a in range(1 << bits):
+        sampler._rng.a = a
+        try:
+            d = sampler._refine(m)
+        except _CellNeedsAnotherRung:
+            assert a == 0 or scaled // a != scaled // (a + 1)
+            counts[1] += 1
+        else:
+            assert scaled <= a * (d + 1) and (a + 1) * d <= scaled
+            counts[0] += 1
+    assert counts == [resolved, unresolved]
+
+
 def test_lln_stat_fixtures():
     word = tuple(range(1, 101))
     assert lln_stat(word, 100) == pytest.approx(math.log(100) / 100)

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import piercelib
-from piercelib import profiles
+from piercelib import cli, profiles
 from piercelib._precision import PrecisionError, certified_floor, certified_sign
-from piercelib.families import count_constrained_words
+from piercelib.families import count_constrained_words, enumerate_constrained_words
 from piercelib.profiles import (
     DEFAULT_WINDOW,
     _decode,
@@ -239,28 +239,32 @@ def test_find_threshold_agrees_with_the_unshared_search_on_deviation_rows(beta, 
 
 
 def test_find_threshold_builds_each_enclosure_once(monkeypatch):
+    # the enclosures are counted where they are computed: the _eval walks in
+    # mpmath.iv on the rows of l and r
+    labels = {"exp(n + beta*psi)", "(1+psi/n)*exp(n + beta*psi)"}
+    counted = set(labels)
     built = Counter()
-    original = GrowthProfile.iv_value
+    original = GrowthProfile._eval
 
-    def counting(self, n, iv):
-        built[(self.label, n, iv.prec)] += 1
-        return original(self, n, iv)
+    def counting(self, ctx, n):
+        if ctx is mpmath.iv and self.label in counted:
+            built[(self.label, n, ctx.prec)] += 1
+        return original(self, ctx, n)
 
-    monkeypatch.setattr(GrowthProfile, "iv_value", counting)
+    monkeypatch.setattr(GrowthProfile, "_eval", counting)
     assert deviation_bounds(lil_profile(), 1, k_limit=40, window=64).threshold == 2
-    assert {label for label, _, _ in built} == {
-        "exp(n + beta*psi)",
-        "(1+psi/n)*exp(n + beta*psi)",
-    }
+    assert {label for label, _, _ in built} == labels
     # rows 1..41 of both profiles, each at one or more precisions
     assert {n for _, n, _ in built} == set(range(1, 42))
     assert set(built.values()) == {1}
-    # the memo lives for one call: a second search builds its rows again
+    # the rows live for one call: a second search builds its rows again
     built.clear()
     f = profiles.deviation_profile(1, lil_profile())
     l, r = exp_of_profile(f), profiles.exp_of_scaled_profile(f, lil_profile())
+    counted = {l.label, r.label}
     assert find_threshold(l, r, 8) == find_threshold(l, r, 8) == 2
-    assert built and set(built.values()) == {2}
+    assert {label for label, _, _ in built} == counted
+    assert set(built.values()) == {2}
 
 
 def test_shared_nodes_are_evaluated_once_per_row_and_precision(monkeypatch):
@@ -294,42 +298,146 @@ def test_shared_nodes_are_evaluated_once_per_row_and_precision(monkeypatch):
 
 def test_row_memo_keys_by_precision_and_stores_no_error(monkeypatch):
     reads = Counter()
-    original = GrowthProfile.floor
+    original = GrowthProfile._floor
 
     def counting(self, n):
         reads[n] += 1
         return original(self, n)
 
-    monkeypatch.setattr(GrowthProfile, "floor", counting)
+    monkeypatch.setattr(GrowthProfile, "_floor", counting)
     # floor(e^60) depends on mpmath.mp.prec (the floor defect pinned by a strict xfail)
-    memo = profiles._RowMemo(exp_of_profile(table_profile([60])))
-    with mpmath.workprec(53):
-        low = [memo.floor(1), memo.floor(1)]
-    with mpmath.workprec(128):
-        high = [memo.floor(1), memo.floor(1)]
-    assert low == [114200738981568423454048256] * 2
-    assert high == [114200738981568428366295718] * 2
-    assert reads[1] == 2
-    for _ in range(2):
-        with pytest.raises(ProfileError, match="no row 2"):
-            memo.floor(2)
-    assert reads[2] == 2
-    # everything but the row methods is the wrapped profile's
-    assert memo.kind == "exp_of" and memo.min_index == 1 and memo.value(1) is None
+    profile = exp_of_profile(table_profile([60]))
+    with profiles._question():
+        with mpmath.workprec(53):
+            low = [profile.floor(1), profile.floor(1)]
+        with mpmath.workprec(128):
+            high = [profile.floor(1), profile.floor(1)]
+        assert low == [114200738981568423454048256] * 2
+        assert high == [114200738981568428366295718] * 2
+        assert reads[1] == 2
+        for _ in range(2):
+            with pytest.raises(ProfileError, match="no row 2"):
+                profile.floor(2)
+        assert reads[2] == 2
 
-    # exp(sqrt 2), its log and its enclosure all change with the precision
+    # exp(sqrt 2), its log and its enclosure all change with the precision:
+    # one question reads them at 128, 256 and again 128 bits
     profile = exp_of_profile(sqrt_profile())
-    memo, iv, old = profiles._RowMemo(profile), mpmath.iv, mpmath.iv.prec
+    iv, old = mpmath.iv, mpmath.iv.prec
+
+    def read_all():
+        with mpmath.workprec(iv.prec):
+            value = profile.iv_value(2, iv)
+            return profile.mp_value(2), profile.log_value(2), value.a, value.b
+
     try:
-        for bits in (128, 256, 128):
+        want = {}
+        for bits in (128, 256):
             iv.prec = bits
-            with mpmath.workprec(bits):
-                assert memo.mp_value(2) == profile.mp_value(2)
-                assert memo.log_value(2) == profile.log_value(2)
-                got, want = memo.iv_value(2, iv), profile.iv_value(2, iv)
-                assert (got.a, got.b) == (want.a, want.b)
+            want[bits] = read_all()
+        with profiles._question():
+            for bits in (128, 256, 128):
+                iv.prec = bits
+                assert read_all() == want[bits]
     finally:
         iv.prec = old
+
+
+EVEN = BoundsProfile(l=affine_profile(2), r=affine_profile(2, 2))
+SHORT = BoundsProfile(l=table_profile([2, 4, 6, 8]), r=table_profile([4, 6, 8, 10]))
+
+
+def _dim_exits(params, code):
+    family = "E_star" if "u" in params else "E_bounds"
+    spec = json.dumps({"family": family, "params": params})
+    assert cli.main(["dim", spec, "--n-max", "6"]) == code
+
+
+@pytest.mark.parametrize(
+    "call,raised",
+    [
+        pytest.param(lambda: find_threshold(EVEN.l, EVEN.r, 6), None, id="threshold"),
+        pytest.param(
+            lambda: find_threshold(affine_profile(1), affine_profile(1, 1), 6),
+            ThresholdNotFound,
+            id="threshold-not-found",
+        ),
+        pytest.param(lambda: find_threshold(SHORT.l, SHORT.r, 6), ProfileError, id="threshold-short"),
+        pytest.param(lambda: count_constrained_words(4, EVEN), None, id="count"),
+        pytest.param(lambda: count_constrained_words(6, SHORT), ProfileError, id="count-short"),
+        pytest.param(lambda: enumerate_constrained_words(3, EVEN), None, id="enumerate"),
+        pytest.param(lambda: enumerate_constrained_words(6, SHORT), ProfileError, id="enumerate-short"),
+        pytest.param(
+            lambda: _dim_exits({"u": {"kind": "builtin", "name": "scale_geometric3"}}, 0),
+            None,
+            id="dim",
+        ),
+        # the document's ProfileError leaves its question, and main exits 2
+        pytest.param(lambda: _dim_exits({"bounds": SHORT.to_dict()}, 2), None, id="dim-short"),
+    ],
+)
+def test_each_question_is_dropped_when_its_entry_point_ends(monkeypatch, capsys, call, raised):
+    opened = []
+    original = GrowthProfile.value
+
+    def watching(self, n):
+        opened.append(profiles._rows.get() is not None)
+        return original(self, n)
+
+    monkeypatch.setattr(GrowthProfile, "value", watching)
+    if raised is None:
+        call()
+    else:
+        with pytest.raises(raised):
+            call()
+    assert True in opened
+    assert profiles._rows.get() is None
+
+
+def _count_floors(monkeypatch):
+    floors = Counter()
+    original = GrowthProfile._floor
+
+    def counting(self, n):
+        floors[(self.label, n)] += 1
+        return original(self, n)
+
+    monkeypatch.setattr(GrowthProfile, "_floor", counting)
+    return floors
+
+
+def test_a_nested_question_reads_the_open_questions_rows(monkeypatch):
+    floors = _count_floors(monkeypatch)
+    bounds = bounds_from_scale(builtin_profiles()["scale_exp_sqrt"])
+    with profiles._question():
+        rows = profiles._rows.get()
+        counts = [bounds.branch_count(k) for k in range(1, 9)]
+        assert floors == Counter({(label, n): 1 for label in ("n*u(n)", "(n+1)*u(n)") for n in range(1, 9)})
+        # the count opens a question inside this one and reads its floors
+        assert count_constrained_words(8, bounds) == math.prod(counts)
+        assert set(floors.values()) == {1}
+        assert profiles._rows.get() is rows
+    assert profiles._rows.get() is None
+
+
+def test_a_read_outside_any_question_stores_nothing(monkeypatch):
+    floors = _count_floors(monkeypatch)
+    profile = exp_of_profile(sqrt_profile(), label="e^sqrt")
+    assert profile.floor(3) == profile.floor(3) == 5
+    assert floors == Counter({("e^sqrt", 3): 2})
+    computed = []
+    for _ in range(2):
+        assert profiles._recall(profile, ("row", 1), computed.append, 1) is None
+    assert computed == [1, 1]
+    assert profiles._rows.get() is None
+
+
+def test_a_dropped_profile_hands_no_rows_to_a_new_one():
+    # each table is dropped once read; the question holds it, so the next
+    # table cannot take its id and with it the dropped table's row
+    with profiles._question():
+        floors = [table_profile([k]).floor(1) for k in range(2, 202)]
+    assert floors == list(range(2, 202))
 
 
 def test_deviation_bounds_analytic_tag():
