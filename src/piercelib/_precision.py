@@ -3,7 +3,9 @@
 Real-valued bound rows like exp(n + sqrt(n)) need exact floors and exact
 comparisons.  Expressions are evaluated under `mpmath.iv` (directed-rounding
 intervals) at a precision that doubles from 128 bits up to a ceiling of 2^16
-bits, inclusive, until the answer is unambiguous.  An enclosure that is
+bits, inclusive, until the answer is unambiguous.  Every escalation starts at
+128 bits, whatever the value's magnitude; a start derived from the magnitude
+is the open follow-up of ROADMAP item 9.  An enclosure that is
 exactly the point 0 is a certified zero, so `certified_sign` returns 0 at once.
 A value still ambiguous at the ceiling (for instance a transcendental
 expression that equals an integer exactly) raises PrecisionError: an undecided
@@ -34,9 +36,9 @@ def _at_precision(expr: Callable[[mpmath.ctx_iv.MPIntervalContext], object], bit
         iv.prec = old
 
 
-def _escalate(expr, start_bits: int, decide, what: str):
+def _escalate(expr, decide, what: str):
     """First non-None `decide(enclosure)` as the precision doubles up to the ceiling."""
-    bits = max(start_bits, 53)
+    bits = DEFAULT_PRECISION_BITS
     while bits <= _MAX_PRECISION_BITS:
         answer = decide(_at_precision(expr, bits))
         if answer is not None:
@@ -59,10 +61,7 @@ def _sign_of(val) -> int | None:
     return 0 if val.a == val.b else None
 
 
-def certified_floor(
-    expr: Callable[[mpmath.ctx_iv.MPIntervalContext], object],
-    start_bits: int = DEFAULT_PRECISION_BITS,
-) -> int:
+def certified_floor(expr: Callable[[mpmath.ctx_iv.MPIntervalContext], object]) -> int:
     """Floor of a real given as an interval expression.
 
     `expr(iv)` must rebuild the value inside the supplied interval context.
@@ -70,17 +69,14 @@ def certified_floor(
     are exactly integers but only representable transcendentally cannot be
     certified and raise PrecisionError.
     """
-    return _escalate(expr, start_bits, _floor_of, "floor")
+    return _escalate(expr, _floor_of, "floor")
 
 
-def certified_sign(
-    expr: Callable[[mpmath.ctx_iv.MPIntervalContext], object],
-    start_bits: int = DEFAULT_PRECISION_BITS,
-) -> int:
+def certified_sign(expr: Callable[[mpmath.ctx_iv.MPIntervalContext], object]) -> int:
     """Sign (+1, -1, or 0 for a certified zero) of an interval expression.
 
     It is 0 only when an enclosure is exactly the point 0; an enclosure that
     still straddles 0 at the ceiling raises PrecisionError.
     """
-    return _escalate(expr, start_bits, _sign_of, "sign")
+    return _escalate(expr, _sign_of, "sign")
 

@@ -227,7 +227,9 @@ def cmd_dim(args) -> int:
                 args.n_max,
                 precision_bits=args.precision_bits,
             )
-        except (ValueError, ProfileError) as exc:
+        # an undecided cover start is reported, not resolved: the chains are
+        # left out and the document keeps its analytic value
+        except (ValueError, ProfileError, PrecisionError) as exc:
             notes["cover_chains"] = f"unavailable: {exc}"
         else:
             rows += _ratio_rows(chains["chain1"], "cover_chain1")

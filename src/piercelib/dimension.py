@@ -9,15 +9,16 @@ window estimates that pass a stabilization check, and refuses otherwise.
 Parameter-region families take their empty regions from
 `families.emptiness_check`.
 
-The ratio sequences (lower, upper, box, gap) and the two cover chains are
-closed formulas over columns of bound rows (log r_k, log l_k, log Delta_k,
-log m_k or phi(k)), each row evaluated once per call, on the rows its
-formula reads; prefix sums start from a row 0 of 0, so they add in
-running-total order.  A `dim` document runs its lower/upper, box and gap
-sequences as one question (`profiles._question`): each row's value, log and
-floor of l and r, its log Delta, and each row of a profile node that l and r
-share (u under n*u(n) and (n+1)*u(n)) is evaluated once per (row, context,
-precision) per document, and the rows are dropped when the document ends.
+The ratio sequences (lower, upper, box, gap), the two cover chains and the
+windowed limit quantities are closed formulas over columns of rows (log r_k,
+log l_k, log Delta_k, log m_k, phi(k) or log u_k), each row evaluated once
+per call, on the rows its formula reads; prefix sums start from a row 0 of
+0, so they add in running-total order.  A `dim` document runs its
+lower/upper, box and gap sequences as one question (`profiles._question`):
+each row's value, log and floor of l and r, its log Delta, and each row of a
+profile node that l and r share (u under n*u(n) and (n+1)*u(n)) is evaluated
+once per (row, context, precision) per document, and the rows are dropped
+when the document ends.
 
 `find_cover_start` proves its start instead of scanning to its limit where
 the profile allows it: for phi = c log n with c(1+eps) >= 1 the windows
@@ -254,31 +255,26 @@ def estimate_limits(
     n_lo = max(n_lo, profile.min_index, 2 if quantity == "gamma" else profile.min_index)
     if n_hi < n_lo:
         raise ValueError("empty window")
-    values: list[tuple[int, float]] = []
+    levels = range(n_lo, n_hi + 1)
     with mpmath.workprec(precision_bits):
         if quantity == "gamma":
-            for n in range(n_lo, n_hi + 1):
-                values.append((n, _to_float(profile.mp_value(n) / mpmath.log(n))))
-        elif quantity in ("xi", "theta"):
-            total = mpmath.mpf(0)
-            for k in range(profile.min_index, n_lo):
-                total += profile.mp_value(k)
-            for n in range(n_lo, n_hi + 1):
-                total += profile.mp_value(n)
-                if quantity == "xi":
-                    values.append((n, _to_float(profile.mp_value(n + 1) / total)))
-                else:
-                    values.append((n, _to_float(n * profile.mp_value(n) / total)))
-        else:  # eta
-            total = mpmath.mpf(0)
-            for k in range(profile.min_index, n_lo):
-                total += profile.log_value(k)
-            for n in range(n_lo, n_hi + 1):
-                total += profile.log_value(n)
-                if total <= 0:
-                    continue
-                num = n * mpmath.log(n) + profile.log_value(n + 1)
-                values.append((n, _to_float(num / total)))
+            phi = _column(profile.mp_value, n_hi, first=n_lo)
+            values = [(n, _to_float(phi[n] / mpmath.log(n))) for n in levels]
+        else:
+            # xi and eta read the row after the window, theta does not
+            row = profile.log_value if quantity == "eta" else profile.mp_value
+            col = _column(row, n_hi + (quantity != "theta"), first=profile.min_index)
+            sums = list(accumulate(col))
+            if quantity == "xi":
+                values = [(n, _to_float(col[n + 1] / sums[n])) for n in levels]
+            elif quantity == "theta":
+                values = [(n, _to_float(n * col[n] / sums[n])) for n in levels]
+            else:
+                values = [
+                    (n, _to_float((n * mpmath.log(n) + col[n + 1]) / sums[n]))
+                    for n in levels
+                    if sums[n] > 0
+                ]
     if not values:
         raise ValueError("window produced no values")
     floats = [v for _, v in values]
@@ -320,15 +316,16 @@ class AnalyticDimension:
     limits: dict[str, LimitEstimate] = field(default_factory=dict)
 
 
-def _limit_or_stated(
-    profile: GrowthProfile, quantity: str, window: int
-) -> tuple[float | None, bool, LimitEstimate | None]:
-    """(value, was_stated, window_report); value None when not stabilizing."""
+def _limit(
+    profile: GrowthProfile, quantity: str, window: int, limits: dict[str, LimitEstimate]
+) -> float | None:
+    """The profile's stated limit, else its window estimate, which is filed
+    in `limits`; None when the estimate does not stabilize."""
     stated = profile.analytic.get(quantity)
     if stated is not None:
-        return stated, True, None
-    est = estimate_limits(profile, quantity, (max(2, profile.min_index), window))
-    return _stabilized([v for _, v in est.values]), False, est
+        return stated
+    est = limits[quantity] = estimate_limits(profile, quantity, (max(2, profile.min_index), window))
+    return _stabilized([v for _, v in est.values])
 
 
 # parameter-region families: empty exactly where `emptiness_check` proves it,
@@ -384,8 +381,8 @@ def analytic_dimension(spec: SetSpec, window: int = DEFAULT_WINDOW) -> AnalyticD
 
 
 def _dimension_growth_target(phi: GrowthProfile, window: int) -> AnalyticDimension:
-    gamma, gamma_stated, gamma_est = _limit_or_stated(phi, "gamma", window)
-    limits = {k: v for k, v in (("gamma", gamma_est),) if v is not None}
+    limits: dict[str, LimitEstimate] = {}
+    gamma = _limit(phi, "gamma", window, limits)
     if gamma is None:
         return AnalyticDimension(
             None,
@@ -393,15 +390,13 @@ def _dimension_growth_target(phi: GrowthProfile, window: int) -> AnalyticDimensi
             detail="growth ratio phi(n)/log n does not stabilize on the window",
             limits=limits,
         )
+    # a limit is exact when stated, and window-certified when estimated
+    status = "window_certified" if limits else "exact"
     if gamma < 1:
-        status = "exact" if gamma_stated else "window_certified"
         return AnalyticDimension(0.0, status, empty=True, detail=f"gamma = {gamma} < 1", limits=limits)
     if gamma != math.inf:
-        status = "exact" if gamma_stated else "window_certified"
         return AnalyticDimension(1.0 - 1.0 / gamma, status, detail=f"gamma = {gamma}", limits=limits)
-    xi, xi_stated, xi_est = _limit_or_stated(phi, "xi", window)
-    if xi_est is not None:
-        limits["xi"] = xi_est
+    xi = _limit(phi, "xi", window, limits)
     if xi is None:
         return AnalyticDimension(
             None,
@@ -409,15 +404,15 @@ def _dimension_growth_target(phi: GrowthProfile, window: int) -> AnalyticDimensi
             detail="tail ratio xi does not stabilize on the window",
             limits=limits,
         )
-    status = "exact" if (gamma_stated and xi_stated) else "window_certified"
+    status = "window_certified" if limits else "exact"
     return AnalyticDimension(
         1.0 / (1.0 + xi), status, detail=f"gamma = inf, xi = {xi}", limits=limits
     )
 
 
 def _dimension_scale_window(u: GrowthProfile, window: int) -> AnalyticDimension:
-    eta, eta_stated, eta_est = _limit_or_stated(u, "eta", window)
-    limits = {k: v for k, v in (("eta", eta_est),) if v is not None}
+    limits: dict[str, LimitEstimate] = {}
+    eta = _limit(u, "eta", window, limits)
     if eta is None:
         return AnalyticDimension(
             None,
@@ -425,7 +420,7 @@ def _dimension_scale_window(u: GrowthProfile, window: int) -> AnalyticDimension:
             detail="scale ratio eta does not stabilize on the window",
             limits=limits,
         )
-    status = "exact" if eta_stated else "window_certified"
+    status = "window_certified" if limits else "exact"
     value = 0.0 if eta == math.inf else 1.0 / (1.0 + eta)
     return AnalyticDimension(value, status, detail=f"eta = {eta}", limits=limits)
 

@@ -22,10 +22,10 @@ from .profiles import (
     _decode,
     _encode,
     _question,
+    _scale_windows,
     affine_profile,
     certified_compare,
     exp_of_profile,
-    index_scaled_profile,
 )
 
 FAMILIES = (
@@ -233,8 +233,8 @@ def _window_membership(spec: SetSpec, word: tuple[int, ...]) -> MembershipResult
                     False, True, None, f"d_{n + 1}/d_{n} = {word[n]}/{word[n - 1]} > kappa"
                 )
         return MembershipResult(True, False, None, f"ratio cap holds up to n={n_levels}")
-    if fam == "E_bounds":
-        bounds: BoundsProfile = p["bounds"]
+    if fam in ("E_bounds", "E_star"):
+        bounds = p["bounds"] if fam == "E_bounds" else _scale_windows(p["u"])
         for n, d in enumerate(word, start=1):
             if not bounds.contains(n, d):
                 lo, hi = bounds.digit_range(n)
@@ -242,18 +242,6 @@ def _window_membership(spec: SetSpec, word: tuple[int, ...]) -> MembershipResult
                     False, True, None, f"d_{n} = {d} outside window {lo}..{hi}"
                 )
         return MembershipResult(True, False, None, f"inside windows up to n={n_levels}")
-    if fam == "E_star":
-        u: GrowthProfile = p["u"]
-        lower = index_scaled_profile(u, 0)
-        upper = index_scaled_profile(u, 1)
-        for n, d in enumerate(word, start=1):
-            lo = lower.floor(n)
-            hi = upper.floor(n)
-            if not (lo + 1 <= d <= hi):
-                return MembershipResult(
-                    False, True, None, f"d_{n} = {d} outside scale window {lo + 1}..{hi}"
-                )
-        return MembershipResult(True, False, None, f"inside scale windows up to n={n_levels}")
     # S_generic
     m = p["m"]
     h1, h2 = p["h1"], p["h2"]

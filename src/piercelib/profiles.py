@@ -679,12 +679,17 @@ def bounds_from_scale(u: GrowthProfile, window: int = DEFAULT_WINDOW) -> BoundsP
         _require_scale(certified_compare(((1, u, u.min_index),), 2), "u(n) >= 2", u.min_index)
     else:
         _scan_scale(u, window)
+    return _scale_windows(u)
+
+
+def _scale_windows(u: GrowthProfile) -> BoundsProfile:
+    """The windows n*u(n) < d_n <= (n+1)*u(n), unverified: `bounds_from_scale`
+    returns them once u is certified, and E_star membership reads them as
+    they stand."""
     return BoundsProfile(
         l=index_scaled_profile(u, 0, label="n*u(n)"),
         r=index_scaled_profile(u, 1, label="(n+1)*u(n)"),
-        threshold=0,
         label=f"scale[{u.label}]",
-        analytic=dict(u.analytic),
         scale=u,
     )
 

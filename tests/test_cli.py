@@ -318,3 +318,18 @@ def test_dim_gap_error_leaves_the_other_rows(capsys):
     assert {row["bound_kind"] for row in doc["data"]} == {"lower", "upper", "box"}
     # the same document again, in the same process, reads the same rows afresh
     assert run_json(capsys, ["dim", spec, "--n-max", str(n_max)]) == (code, doc)
+
+
+def test_dim_undecided_cover_start_keeps_the_analytic_value(capsys):
+    # c (1 - eps) is exactly 1 for eps the float 0.01, so the bottom of the
+    # row-2 cover window, exp(log 2), is the integer 2 and its floor stays
+    # undecided at the precision ceiling; the document reports that and keeps
+    # its analytic value
+    coeff = "576460752303423488/570696144780389253"
+    spec = json.dumps({"family": "E_phi", "params": {"profile": {"kind": "log", "coeff": coeff}}})
+    code, doc = run_json(capsys, ["dim", spec, "--n-max", "60"])
+    assert code == 0
+    summary = doc["summary"]
+    assert summary["cover_chains"] == "unavailable: floor undecided at 65536 bits"
+    assert summary["status"] == "exact" and summary["analytic"] == pytest.approx(0.01)
+    assert "cover_start" not in summary and doc["data"] == []

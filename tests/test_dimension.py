@@ -37,10 +37,13 @@ from piercelib.profiles import (
     affine_profile,
     bounds_from_scale,
     builtin_profiles,
+    deviation_bounds,
+    deviation_profile,
     exponential_profile,
     lil_profile,
     linear_log_profile,
     log_profile,
+    piecewise_profile,
     power_profile,
     sqrt_profile,
     table_profile,
@@ -333,14 +336,23 @@ def test_a_dim_document_evaluates_shared_rows_once(monkeypatch, capsys):
     assert deltas == Counter(range(1, 63))
 
 
-@pytest.mark.parametrize("scale", ["scale_geometric3", "scale_exp_sqrt"])
+SANDWICH_BOUNDS = {
+    "scale_geometric3": lambda: bounds_from_scale(builtin_profiles()["scale_geometric3"]),
+    "scale_exp_sqrt": lambda: bounds_from_scale(builtin_profiles()["scale_exp_sqrt"]),
+    "deviation_lil": lambda: deviation_bounds(builtin_profiles()["lil"], 1),
+    "deviation_sqrt": lambda: deviation_bounds(builtin_profiles()["sqrt"], Fraction(-1, 2)),
+}
+
+
+@pytest.mark.parametrize("scale", SANDWICH_BOUNDS)
 def test_bound_sequences_sandwich_the_natural_measure(scale):
     # Mass distribution: mu picks each admissible digit uniformly, level by
     # level, so mu(I_n) = 1/prod_{k<=n} m_k for the basic interval I_n of a
     # word.  The local ratio log(1/mu(I_n)) / log(1/|I_n|) of sampled words
     # must lie between the lower and upper sequences.  geometric3 rows are
-    # exact; exp-sqrt rows take the mpmath.iv floors.
-    bounds = bounds_from_scale(builtin_profiles()[scale])
+    # exact; exp-sqrt rows take the mpmath.iv floors, and so do the deviation
+    # rows, which pass 2^53 and are therefore floored at 128 bits.
+    bounds = SANDWICH_BOUNDS[scale]()
     with profiles._question():
         scoped = dimension_bound_sequences(bounds, 60)
     estimate = dimension_bound_sequences(bounds, 60)
@@ -351,11 +363,12 @@ def test_bound_sequences_sandwich_the_natural_measure(scale):
     for n in (20, 40, 60):
         for _ in range(5):
             word, log_mass = [], 0.0
-            for k in range(1, n + 1):
-                lo, hi = bounds.digit_range(k)
-                word.append(rng.randint(lo, hi))
-                log_mass += math.log(hi - lo + 1)
-            length = family_basic_interval(tuple(word), bounds).length
+            with mpmath.workprec(128):
+                for k in range(1, n + 1):
+                    lo, hi = bounds.digit_range(k)
+                    word.append(rng.randint(lo, hi))
+                    log_mass += math.log(hi - lo + 1)
+                length = family_basic_interval(tuple(word), bounds).length
             ratio = log_mass / (math.log(length.denominator) - math.log(length.numerator))
             assert lower[n] <= ratio <= upper[n]
 
@@ -424,6 +437,75 @@ def test_limit_estimates_frozen():
     assert gamma.last == pytest.approx(2.0, abs=1e-3)
     eta = estimate_limits(builtin_profiles()["scale_geometric3"], "eta", (380, 400))
     assert eta.last == pytest.approx(0.0321, abs=5e-5)
+
+
+def _loop_limits(profile, quantity, window, precision_bits=128):
+    """The running-total loops that computed estimate_limits before it read
+    one row column: a differential oracle for the column formulas."""
+    if quantity not in ("gamma", "xi", "theta", "eta"):
+        raise ValueError(f"unknown limit quantity {quantity!r}")
+    n_lo, n_hi = window
+    n_lo = max(n_lo, profile.min_index, 2 if quantity == "gamma" else profile.min_index)
+    if n_hi < n_lo:
+        raise ValueError("empty window")
+    values = []
+    with mpmath.workprec(precision_bits):
+        if quantity == "gamma":
+            for n in range(n_lo, n_hi + 1):
+                values.append((n, dimension._to_float(profile.mp_value(n) / mpmath.log(n))))
+        elif quantity in ("xi", "theta"):
+            total = mpmath.mpf(0)
+            for k in range(profile.min_index, n_lo):
+                total += profile.mp_value(k)
+            for n in range(n_lo, n_hi + 1):
+                total += profile.mp_value(n)
+                if quantity == "xi":
+                    values.append((n, dimension._to_float(profile.mp_value(n + 1) / total)))
+                else:
+                    values.append((n, dimension._to_float(n * profile.mp_value(n) / total)))
+        else:
+            total = mpmath.mpf(0)
+            for k in range(profile.min_index, n_lo):
+                total += profile.log_value(k)
+            for n in range(n_lo, n_hi + 1):
+                total += profile.log_value(n)
+                if total <= 0:
+                    continue
+                num = n * mpmath.log(n) + profile.log_value(n + 1)
+                values.append((n, dimension._to_float(num / total)))
+    if not values:
+        raise ValueError("window produced no values")
+    floats = [v for _, v in values]
+    return values, {"min": min(floats), "max": max(floats), "last": floats[-1]}
+
+
+LIMIT_SWEEP = {
+    **builtin_profiles(),
+    "table12": table_profile([3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610]),
+    "float_affine": affine_profile(1.5, 0.25),
+    "shifted_power": power_profile(2, shift=-1),
+    "deviation_lil": deviation_profile(1, lil_profile()),
+    "piecewise": piecewise_profile(5, affine_profile(2), exponential_profile(2)),
+}
+
+
+def _outcome(estimate, *args):
+    try:
+        return estimate(*args)
+    except Exception as exc:  # the error text is part of the outcome
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", LIMIT_SWEEP)
+def test_limit_columns_match_the_running_total_loops(name):
+    profile = LIMIT_SWEEP[name]
+    for quantity in ("gamma", "xi", "theta", "eta"):
+        for window in ((2, 11), (5, 11), (1, 300), (380, 400)):
+            new = _outcome(estimate_limits, profile, quantity, window)
+            if isinstance(new, dimension.LimitEstimate):
+                assert new.quantity == quantity
+                new = new.values, new.summary
+            assert new == _outcome(_loop_limits, profile, quantity, window), (quantity, window)
 
 
 ANALYTIC_TABLE = [

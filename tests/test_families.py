@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from piercelib.expansion import is_admissible
 from piercelib.families import (
     FAMILIES,
     EnumerationCapError,
@@ -26,6 +27,7 @@ from piercelib.profiles import (
     builtin_profiles,
     exp_of_profile,
     exponential_profile,
+    index_scaled_profile,
     lil_profile,
     linear_log_profile,
     log_profile,
@@ -202,6 +204,50 @@ def test_membership_e_star():
     word = tuple(bounds.digit_range(n)[0] for n in range(1, 5))
     assert membership(spec, word, 4).satisfied_so_far
     assert membership(spec, (1, 2, 3), 3).violated
+
+
+def _scale_window_loop(u, word):
+    """The E_star loop that membership ran before it read the windows of
+    bounds_from_scale: a differential oracle for them."""
+    lower = index_scaled_profile(u, 0)
+    upper = index_scaled_profile(u, 1)
+    for n, d in enumerate(word, start=1):
+        lo = lower.floor(n)
+        hi = upper.floor(n)
+        if not (lo + 1 <= d <= hi):
+            return False, True, None, f"d_{n} = {d} outside scale window {lo + 1}..{hi}"
+    return True, False, None, f"inside scale windows up to n={len(word)}"
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        builtin_profiles()["scale_geometric3"],
+        builtin_profiles()["scale_exp_sqrt"],
+        table_profile([2, Fraction(5, 2), 3, 3, 5, Fraction(17, 2), 13, 13]),
+    ],
+    ids=["geometric3", "exp_sqrt", "table"],
+)
+def test_e_star_membership_matches_the_scale_window_loop(u):
+    # words of window bottoms, ending at or just beyond either end of the
+    # last window; only the wording of the detail changes
+    spec = SetSpec("E_star", {"u": u})
+    windows = [bounds_from_scale(u, window=7).digit_range(n) for n in range(1, 9)]
+    for depth in range(1, 9):
+        prefix = tuple(lo for lo, _ in windows[: depth - 1])
+        lo, hi = windows[depth - 1]
+        for last in (lo - 1, lo, hi, hi + 1):
+            word = prefix + (last,)
+            if not is_admissible(word):
+                continue
+            ok, violated, estimate, detail = _scale_window_loop(u, word)
+            result = membership(spec, word, depth)
+            assert (result.satisfied_so_far, result.violated, result.estimate) == (
+                ok,
+                violated,
+                estimate,
+            )
+            assert result.detail == detail.replace("scale window", "window")
 
 
 def test_membership_s_generic_pinch():

@@ -670,4 +670,75 @@ def test_precision_error_caught_only_by_compare_helper_and_cli_main():
         for path in Path(piercelib.__file__).parent.glob("*.py")
         for func in _precision_handlers(path.read_text(encoding="utf-8"))
     )
-    assert found == ["cli.main", "profiles.certified_compare"]
+    assert found == ["cli.cmd_dim", "cli.main", "profiles.certified_compare"]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports (from __future__ aside) and never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def _private_definitions(source: str) -> set[str]:
+    """Module-level private defs, classes and constants."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _loaded_names(source: str) -> set[str]:
+    """Names a module reads, as a name, an attribute or a from-import."""
+    loaded = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            loaded.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            loaded |= {a.name for a in node.names}
+    return loaded
+
+
+def _dead_code(sources: dict[str, str]) -> list[str]:
+    """Unused imports outside __init__, and private module-level names that
+    no module loads."""
+    loaded = set().union(*(_loaded_names(text) for text in sources.values()))
+    found = [
+        f"{name}: unused import {imp}"
+        for name, text in sources.items()
+        if name != "__init__"
+        for imp in _unused_imports(text)
+    ]
+    found += [
+        f"{name}: {private} never loaded"
+        for name, text in sources.items()
+        for private in sorted(_private_definitions(text) - loaded)
+    ]
+    return found
+
+
+def test_src_has_no_unused_imports_or_orphaned_private_names():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in Path(piercelib.__file__).parent.glob("*.py")
+    }
+    assert _dead_code(sources) == []
+    planted = dict(sources)
+    planted["families"] += "\nfrom .profiles import index_scaled_profile\n"
+    planted["dimension"] += "\n\ndef _orphan():\n    return None\n"
+    assert _dead_code(planted) == [
+        "families: unused import index_scaled_profile",
+        "dimension: _orphan never loaded",
+    ]
