@@ -207,13 +207,15 @@ def cmd_dim(args) -> int:
             estimate = dimension_bound_sequences(bounds, args.n_max, bits)
             rows += _ratio_rows(estimate.lower_seq, "lower")
             rows += _ratio_rows(estimate.upper_seq, "upper")
+            # an undecided bound floor is reported, not resolved: that
+            # sequence is left out and the lower and upper rows stay
             try:
                 rows += _ratio_rows(box_ratio_sequence(bounds, args.n_max, bits, args.enum_cap), "box")
-            except (ValueError, ProfileError) as exc:
+            except (ValueError, ProfileError, PrecisionError) as exc:
                 notes["box_sequence"] = f"unavailable: {exc}"
             try:
                 rows += _ratio_rows(gap_ratio_sequence(bounds, args.n_max, bits), "gap")
-            except (ValueError, ProfileError) as exc:
+            except (ValueError, ProfileError, PrecisionError) as exc:
                 notes["gap_sequence"] = f"unavailable: {exc}"
     elif spec.family == "E_phi" and not report.empty and report.status != "refused":
         epsilon = 0.01

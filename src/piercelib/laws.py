@@ -16,7 +16,9 @@ Every digit follows that law exactly; two exact samplers draw it:
   law 1/(i(i+1)) whatever M is, so it is drawn by refinement at M = 1.
   Inside block i the digit is proposed uniformly on [Mi, M(i+1)) and
   accepted with probability Mi(Mi+1)/(d(d+1)) >= 1/4, which costs a few
-  additions and comparisons of k-bit integers instead of a division.
+  additions and comparisons of k-bit integers instead of a division.  A
+  proposal is drawn lazily, top 64 bits first: a rejected one costs 64 or
+  117 random bits, and only an accepted or undecided one draws all k.
 
 Floating point enters only the rejection sampler's acceptance test, as a
 filter certified by an error bound: when the float bracket around the
@@ -37,8 +39,9 @@ from .intervals import IntervalExact, fundamental_interval
 # Scale M above which digits are drawn by block-index rejection.  Below it a
 # single-divmod refinement is faster; above it the division dominates.
 _REJECTION_MIN_BITS = 1024
-# Relative margin around the float acceptance ratio: its error (two
-# truncations to 64 bits plus four float roundings) stays below 2^-50.
+# Relative margin around the float acceptance ratio: its error (the 64-bit
+# tops of base and j plus four float roundings; see `_block_reject`) stays
+# below 2^-50.
 _ACCEPT_MARGIN = 2.0**-45
 # Start depth of the iterated-logarithm band: the first n with log log n >= 1
 # (n >= e^e ~ 15.15), the usual floor L(t) = max(1, log t) in LIL normalisers.
@@ -103,30 +106,52 @@ class DigitSampler:
 
         The block index is drawn once: block i's acceptance mass depends on
         i, so redrawing it after a rejection would bias the block law.
+
+        A proposal r, uniform on [0, 2^W) with W = bit_length(M), is
+        accepted iff r < M and U < p = base(base+1)/(j(j+1)), j = base + r,
+        for a uniform U in [0, 1).  Both are read lazily: the top 64 bits
+        of r first (r_top > M >> L rejects, L = W - 64), then U's first 53
+        bits u against a float bracket around p, and r's low L bits only
+        when the bracket accepts or cannot decide.  A rejected proposal
+        thus costs 64 or 117 bits; every decision is that of the full r.
         """
         base = m_scale * self._refine(1)
-        width = m_scale.bit_length()
-        while True:
-            r = self._getrandbits(width)
-            if r < m_scale and self._accept(base, base + r):
-                return base + r
-            self.retries += 1
-
-    def _accept(self, base: int, j: int) -> bool:
-        """True with probability p = base(base+1)/(j(j+1)) exactly.
-
-        Needs base >= 2^63 (here base >= M >= 2^1024).  A uniform U in
-        [0, 1) accepts iff U < p.  Its first 53 bits are compared with a
-        float bracket around p; only when that cannot decide are further
-        bits drawn and compared with p in exact integers.
-        """
+        low_bits = m_scale.bit_length() - 64
+        m_top = m_scale >> low_bits
+        # With s = bit_length(base) - 64 >= L (as base >= M), j >> s is
+        # J = (base >> s) + (r_top >> (s - L)) or J + 1 for every low part
+        # of r.  As base >> s >= 2^63, (base >> s)/J is base/j to within
+        # 2^-62 relative whatever the low part, the +1 terms of p move it by
+        # less than 2^-1000, and the four float roundings below by at most
+        # 7 * 2^-53: the float p is within 2^-50 of the true p.
         s = base.bit_length() - 64
-        p = (float(base >> s) / float(j >> s)) ** 2 * 2.0**53
-        u = self._getrandbits(53)
-        if u + 1 <= p * (1 - _ACCEPT_MARGIN):
-            return True
-        if u >= p * (1 + _ACCEPT_MARGIN):
-            return False
+        shift = s - low_bits
+        base_top = base >> s
+        float_top = float(base_top)
+        draw = self._rng.getrandbits
+        bits = retries = 0
+        while True:
+            r_top = draw(64)
+            bits += 64
+            if r_top <= m_top:
+                p = (float_top / float(base_top + (r_top >> shift))) ** 2 * 2.0**53
+                u = draw(53)
+                bits += 53
+                if u < p * (1 + _ACCEPT_MARGIN):
+                    r = (r_top << low_bits) | draw(low_bits)
+                    bits += low_bits
+                    if r < m_scale and (
+                        u + 1 <= p * (1 - _ACCEPT_MARGIN)
+                        or self._accept_exactly(base, base + r, u)
+                    ):
+                        self.bits_used += bits
+                        self.retries += retries
+                        return base + r
+            retries += 1
+
+    def _accept_exactly(self, base: int, j: int, u: int) -> bool:
+        """True iff U < base(base+1)/(j(j+1)) exactly, where U's first 53
+        bits are u and further bits are drawn 32 at a time as needed."""
         num = base * (base + 1)
         den = j * (j + 1)
         k = 53
@@ -191,13 +216,14 @@ def lil_running_extremes(word, start: int = 3) -> tuple[float, float]:
     """(max, min) of the iterated-logarithm statistic over depths start..len."""
     if len(word) < start:
         raise ValueError(f"need at least {start} digits")
-    hi = -math.inf
-    lo = math.inf
-    for n in range(start, len(word) + 1):
-        s = lil_stat(word, n)
-        hi = max(hi, s)
-        lo = min(lo, s)
-    return hi, lo
+    if start < 3:
+        raise ValueError("iterated-logarithm scale needs n >= 3")
+    log, sqrt = math.log, math.sqrt
+    stats = [
+        (log(d) - n) / sqrt(2 * n * log(log(n)))
+        for n, d in zip(range(start, len(word) + 1), word[start - 1 :])
+    ]
+    return max(stats), min(stats)
 
 
 def normal_cdf(t: float) -> float:

@@ -333,3 +333,23 @@ def test_dim_undecided_cover_start_keeps_the_analytic_value(capsys):
     assert summary["cover_chains"] == "unavailable: floor undecided at 65536 bits"
     assert summary["status"] == "exact" and summary["analytic"] == pytest.approx(0.01)
     assert "cover_start" not in summary and doc["data"] == []
+
+
+def test_dim_undecided_bound_floor_keeps_the_lower_and_upper_rows(capsys):
+    # l(n) = exp(n log 2) = 2^n exactly, so the box and gap sequences, which
+    # floor l, meet a floor that stays undecided at the precision ceiling;
+    # each reports that, and the lower and upper rows stay.  The exit code is
+    # the analytic one: 3 (refused) for generic windows, 0 with a stated scale.
+    bounds = {
+        "l": {"kind": "exp_of", "inner": {"kind": "linear_log", "a": 2}},
+        "r": {"kind": "exponential", "a": 2, "coeff": 2},
+        "threshold": 0,
+    }
+    scale = {"kind": "exponential", "a": 2, "analytic": {"eta": 0}}
+    for params, exit_code in [(bounds, 3), ({**bounds, "scale": scale}, 0)]:
+        spec = json.dumps({"family": "E_bounds", "params": {"bounds": params}})
+        code, doc = run_json(capsys, ["dim", spec, "--n-max", "10"])
+        assert code == exit_code
+        for kind in ("box", "gap"):
+            assert doc["summary"][f"{kind}_sequence"] == "unavailable: floor undecided at 65536 bits"
+        assert [row["bound_kind"] for row in doc["data"]] == ["lower"] * 10 + ["upper"] * 10

@@ -222,11 +222,122 @@ def test_acceptance_exact_fallback_matches_fraction():
         # exceeds the float ratio's error, so the float filter cannot decide.
         assert abs(Fraction(script[0][1], 2**53) - p) < p * Fraction(1, 2**46)
         sampler = DigitSampler(0)
-        sampler._rng = _ScriptedRng(script)
+        sampler._rng = _ScriptedRng(script[1:])
         expected, used = _lazy_accept_reference(p, script)
-        assert sampler._accept(base, j) is expected
+        assert sampler._accept_exactly(base, j, script[0][1]) is expected
         assert len(script) - len(sampler._rng.draws) == used
-        assert sampler.bits_used == sum(bits for bits, _ in script[:used])
+        assert sampler.bits_used == sum(bits for bits, _ in script[1:used])
+
+
+def _eager_block_digit(m: int, block: int, proposals) -> tuple[int, int]:
+    """The eager in-block rule, kept as the oracle of the lazy one: a
+    full-width r is accepted iff r < M and U < p(base + r), with U read
+    lazily against a `Fraction`.  Returns (digit, rejections)."""
+    base = m * block
+    for rejections, (r, u_draws) in enumerate(proposals):
+        if r < m:
+            p = Fraction(base * (base + 1), (base + r) * (base + r + 1))
+            if _lazy_accept_reference(p, u_draws)[0]:
+                return base + r, rejections
+    raise AssertionError("no proposal accepted")
+
+
+class _ProposalRng:
+    """Stands in for random.Random under `_block_reject`: hands out a
+    first-rung value for the block index, then scripted proposals (r, U
+    draws), each part by the width asked for: 64 bits the top of the next r,
+    width - 64 its low bits, 53 and 32 the first bits and the extensions
+    of its U."""
+
+    def __init__(self, block: int, width: int, proposals):
+        # v in the middle of the block's first-rung cell: 2^17/a = block + 1/2
+        self.rung = (1 << 18) // (2 * block + 1)
+        self.low_bits = width - 64
+        self.proposals = iter(proposals)
+
+    def getrandbits(self, k: int) -> int:
+        if self.rung is not None:
+            assert k == 17
+            rung, self.rung = self.rung, None
+            return rung
+        if k == 64:
+            self.r, self.u_draws = next(self.proposals)
+            self.read = 0
+            return self.r >> self.low_bits
+        if k == self.low_bits:
+            return self.r & ((1 << k) - 1)
+        assert k == self.u_draws[self.read][0]
+        self.read += 1
+        return self.u_draws[self.read - 1][1]
+
+
+def _proposal(m: int, block: int, r: int, u_offset: int, extensions=()):
+    """(r, U draws) with U's first 53 bits and each 32-bit extension at an
+    offset from those of p(base + r)."""
+    base = m * block
+    p = Fraction(base * (base + 1), (base + r) * (base + r + 1))
+    draws, k = [], 53
+    for bits, offset in [(53, u_offset)] + [(32, e) for e in extensions]:
+        value = (math.floor(p * 2**k) & ((1 << bits) - 1)) + offset
+        assert 0 <= value < 1 << bits
+        draws.append((bits, value))
+        k += 32
+    return r, draws
+
+
+def _lazy_scripts(m: int, block: int):
+    """Scripts of (proposal, bits the lazy rule draws for it); the last
+    proposal of each is accepted.  A u offset of 2^30 is outside the float
+    bracket (its margin is at most 2^8 units of 2^-53), 50 inside it."""
+    low_bits = m.bit_length() - 64
+    m_top = m >> low_bits
+    full = 117 + low_bits
+    below, above = m // 3, m // 2
+    assert below >> low_bits < m_top and (m - 1) >> low_bits == m_top == (m + 1) >> low_bits
+
+    def prop(r, u_offset, *extensions):
+        return _proposal(m, block, r, u_offset, extensions)
+
+    return [
+        [
+            (prop((m_top + 1) << low_bits, -(2**30)), 64),  # r_top > M >> L
+            (prop(m, -(2**30)), full),  # U accepts, r = M does not
+            (prop(m + 1, 0), full),  # undecided, r > M rejects first
+            (prop(m - 1, 2**30), 117),  # float bracket rejects
+            (prop(below, 50), full),  # exact rejection from u alone
+            (prop(below, 0, 1), full + 32),
+            (prop(below, 0, 0, 1), full + 64),
+            (prop(below, -(2**30)), full),  # float bracket accepts
+        ],
+        [(prop(m - 1, -(2**30)), full)],  # r_top = M >> L and r < M
+        [(prop(m - 1, 2**30), 117), (prop(above, -50), full)],
+        [(prop((m_top + 1) << low_bits, 0), 64), (prop(above, 0, -1), full + 32)],
+        [(prop(m, -(2**30)), full), (prop(above, 0, 0, -1), full + 64)],
+    ]
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("m", [2**1023 + 3, 2**3000 + 7], ids=["2^1023+3", "2^3000+7"])
+def test_lazy_proposals_match_the_eager_rule(m, block):
+    for script in _lazy_scripts(m, block):
+        proposals = [proposal for proposal, _ in script]
+        sampler = DigitSampler(0)
+        sampler._rng = _ProposalRng(block, m.bit_length(), proposals)
+        digit, rejections = _eager_block_digit(m, block, proposals)
+        assert rejections == len(script) - 1
+        assert sampler._block_reject(m) == digit
+        assert sampler.retries == rejections
+        assert sampler.bits_used == 17 + sum(bits for _, bits in script)
+
+
+def test_block_path_draws_about_one_bit_per_scale_bit():
+    # A rejected proposal draws 64 or 117 bits, so a block-path digit costs
+    # little more than its scale's width; full-width proposals cost 2.39
+    # times it on these samples.
+    for i in range(3):
+        sampler = DigitSampler(child_seed(314159, i))
+        widths = [(d + 1).bit_length() for d in sampler.take(10**4)[:-1]]
+        assert sampler.bits_used <= 1.1 * sum(w for w in widths if w > 1024)
 
 
 class _CellNeedsAnotherRung(Exception):
@@ -311,6 +422,35 @@ def test_lil_running_extremes_orders():
         lil_running_extremes(word, 2)
     with pytest.raises(ValueError):
         lil_running_extremes(word, 51)
+
+
+def _lil_extremes_loop(word, start: int) -> tuple[float, float]:
+    """`lil_running_extremes` as a running loop over `lil_stat`, kept as its
+    oracle."""
+    if len(word) < start:
+        raise ValueError(f"need at least {start} digits")
+    hi = -math.inf
+    lo = math.inf
+    for n in range(start, len(word) + 1):
+        s = lil_stat(word, n)
+        hi = max(hi, s)
+        lo = min(lo, s)
+    return hi, lo
+
+
+def test_lil_running_extremes_match_the_running_loop():
+    for i in range(3):
+        word = sample_digits(child_seed(314159, i), 10**4)
+        for start in (3, LIL_BAND_START, 10**4):
+            new = lil_running_extremes(word, start)
+            old = _lil_extremes_loop(word, start)
+            assert [x.hex() for x in new] == [x.hex() for x in old]
+    for word, start in [((2, 3, 5), 4), ((2, 3, 5, 7), 2), ((2, 3), 0)]:
+        with pytest.raises(ValueError) as new_error:
+            lil_running_extremes(word, start)
+        with pytest.raises(ValueError) as old_error:
+            _lil_extremes_loop(word, start)
+        assert str(new_error.value) == str(old_error.value)
 
 
 def test_lil_band_start_is_first_depth_with_loglog_at_least_one():

@@ -670,7 +670,8 @@ def test_precision_error_caught_only_by_compare_helper_and_cli_main():
         for path in Path(piercelib.__file__).parent.glob("*.py")
         for func in _precision_handlers(path.read_text(encoding="utf-8"))
     )
-    assert found == ["cli.cmd_dim", "cli.main", "profiles.certified_compare"]
+    # cmd_dim: the box and gap sequences and the E_phi cover chains
+    assert found == ["cli.cmd_dim"] * 3 + ["cli.main", "profiles.certified_compare"]
 
 
 def _unused_imports(source: str) -> list[str]:
