@@ -16,10 +16,8 @@ from .dimension import (
     count_log_bounds,
     dimension_bound_sequences,
     estimate_limits,
-    factorial_bounds,
     find_cover_start,
     gap_ratio_sequence,
-    log_factorial,
     power_growth_cover_sum,
     window_cover_bound,
     window_cover_chains,

@@ -672,21 +672,3 @@ def power_growth_cover_sum(
         tail_index=tail_index,
         detail=f"zeta({sb:.4g}) tail certified from index {tail_index}",
     )
-
-
-# -- factorial bounds -----------------------------------------------------------------
-
-
-def factorial_bounds(n: int) -> tuple[float, float]:
-    """Log-space bracket n log n - (n-1) <= log n! <= (n+1) log n - (n-1)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    log_n = math.log(n)
-    return n * log_n - (n - 1), (n + 1) * log_n - (n - 1)
-
-
-def log_factorial(n: int) -> float:
-    """log n! by direct summation (cross-check oracle for the bounds)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return float(mpmath.fsum(mpmath.log(k) for k in range(2, n + 1)))

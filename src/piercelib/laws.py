@@ -6,24 +6,19 @@ The next digit is then floor(M/v) for a uniform v in (0, 1], whose law is
 P(d = j | M) = M/(j(j+1)) for j >= M, so the digit process is a Markov chain
 whose cylinder probabilities equal the exact cylinder interval lengths.
 
-Every digit follows that law exactly; two exact samplers draw it:
+Every digit follows that law exactly; two exact samplers draw it, both in
+integers only:
 
 * Refinement (M of at most 1024 bits): a dyadic interval around a fresh
   uniform v is refined until the integer part of M/v is unambiguous, one
   divmod per refinement, so a digit costs a division of a ~2k-bit integer
   by a k-bit one.
-* Block-index rejection (larger M): the block index I = floor(d/M) has the
-  law 1/(i(i+1)) whatever M is, so it is drawn by refinement at M = 1.
-  Inside block i the digit is proposed uniformly on [Mi, M(i+1)) and
-  accepted with probability Mi(Mi+1)/(d(d+1)) >= 1/4, which costs a few
-  additions and comparisons of k-bit integers instead of a division.  A
-  proposal is drawn lazily, top 64 bits first: a rejected one costs 64 or
-  117 random bits, and only an accepted or undecided one draws all k.
-
-Floating point enters only the rejection sampler's acceptance test, as a
-filter certified by an error bound: when the float bracket around the
-acceptance probability cannot decide, the test is settled by exact integer
-comparison against lazily extended uniform bits.
+* Head-and-tail inversion (larger M): with L = bit_length(M - 1) - 64 the
+  top part T = d >> L is floor(M/(2^L v)), which has the same telescoping
+  law as d, so it is refined from v against a 128-bit head of M with a few
+  small divisions.  Given T, the low L bits are drawn uniformly and accepted
+  with probability j0(j0+1)/(d(d+1)) > 1 - 2^-62, where j0 is the least
+  digit of T's cell, so almost every digit costs one draw of L bits.
 """
 
 from __future__ import annotations
@@ -36,13 +31,14 @@ from typing import Callable
 
 from .intervals import IntervalExact, fundamental_interval
 
-# Scale M above which digits are drawn by block-index rejection.  Below it a
+# Previous digit from which on digits are drawn by head-and-tail inversion:
+# exactly the scales M = prev + 1 of more than 1024 bits.  Below it a
 # single-divmod refinement is faster; above it the division dominates.
-_REJECTION_MIN_BITS = 1024
-# Relative margin around the float acceptance ratio: its error (the 64-bit
-# tops of base and j plus four float roundings; see `_block_reject`) stays
-# below 2^-50.
-_ACCEPT_MARGIN = 2.0**-45
+_HEAD_TAIL_MIN_PREV = (1 << 1024) - 1
+# Refinement width from which `_head_tail` refines T against M itself: by
+# then v's cell is far narrower than the head's own rounding (2^-127
+# relative), so only that rounding can leave T undecided.
+_HEAD_MAX_BITS = 208
 # Start depth of the iterated-logarithm band: the first n with log log n >= 1
 # (n >= e^e ~ 15.15), the usual floor L(t) = max(1, log t) in LIL normalisers.
 # Below it the statistic's own spread exceeds its iterated-logarithm scale.
@@ -60,8 +56,9 @@ class DigitSampler:
 
     Each digit is drawn from its exact conditional law given the previous
     one: by dyadic refinement while the scale M has at most 1024 bits, by
-    block-index rejection beyond.  `bits_used` counts the random bits drawn
-    and `retries` the rejected in-block proposals; both are exact.
+    head-and-tail inversion beyond, in integers only.  `bits_used` counts
+    the random bits drawn and `retries` the rejected low-part proposals;
+    both are exact.
     """
 
     def __init__(self, seed: int):
@@ -75,11 +72,11 @@ class DigitSampler:
         return tuple(self._word)
 
     def next_digit(self) -> int:
-        m_scale = (self._word[-1] + 1) if self._word else 1
-        if m_scale.bit_length() > _REJECTION_MIN_BITS:
-            digit = self._block_reject(m_scale)
+        prev = self._word[-1] if self._word else 0
+        if prev >= _HEAD_TAIL_MIN_PREV:
+            digit = self._head_tail(prev)
         else:
-            digit = self._refine(m_scale)
+            digit = self._refine(prev + 1)
         self._word.append(digit)
         return digit
 
@@ -101,53 +98,53 @@ class DigitSampler:
             a = (a << 32) | self._getrandbits(32)
             k += 32
 
-    def _block_reject(self, m_scale: int) -> int:
-        """The digit by rejection inside the block M*I .. M*(I+1) - 1.
+    def _head_tail(self, prev: int) -> int:
+        """The digit d >= M = prev + 1: its top part T = d >> L by inversion,
+        L = bit_length(prev) - 64, then its low L bits by rejection.
 
-        The block index is drawn once: block i's acceptance mass depends on
-        i, so redrawing it after a rejection would bias the block law.
+        T = floor(M/(2^L v)) is refined like `_refine`, over v's cell
+        (a/2^k, (a+1)/2^k], against the head h = prev >> (L - 64): as
+        M/2^(L-64) lies in (h, h+1], T is decided once the floors of
+        h 2^k/((a+1) 2^64) and of the upper end ((h+1) 2^k - 1)/(a 2^64)
+        agree.  From k = _HEAD_MAX_BITS on, M and 2^L replace the head.
 
-        A proposal r, uniform on [0, 2^W) with W = bit_length(M), is
-        accepted iff r < M and U < p = base(base+1)/(j(j+1)), j = base + r,
-        for a uniform U in [0, 1).  Both are read lazily: the top 64 bits
-        of r first (r_top > M >> L rejects, L = W - 64), then U's first 53
-        bits u against a float bracket around p, and r's low L bits only
-        when the bracket accepts or cannot decide.  A rejected proposal
-        thus costs 64 or 117 bits; every decision is that of the full r.
+        Given T, a proposal j = T 2^L + S with S uniform on [0, 2^L) is
+        rejected if j <= prev (only in M's own cell) and otherwise accepted
+        iff U < j0(j0+1)/(j(j+1)), j0 = max(T 2^L, M), for a uniform U in
+        [0, 1).  As T >= 2^63 that ratio exceeds 1 - 2^-62, so U's first 53
+        bits accept unless they are all ones.  A rejection redraws S and U
+        only: redrawing T would tilt T's law.
         """
-        base = m_scale * self._refine(1)
-        low_bits = m_scale.bit_length() - 64
-        m_top = m_scale >> low_bits
-        # With s = bit_length(base) - 64 >= L (as base >= M), j >> s is
-        # J = (base >> s) + (r_top >> (s - L)) or J + 1 for every low part
-        # of r.  As base >> s >= 2^63, (base >> s)/J is base/j to within
-        # 2^-62 relative whatever the low part, the +1 terms of p move it by
-        # less than 2^-1000, and the four float roundings below by at most
-        # 7 * 2^-53: the float p is within 2^-50 of the true p.
-        s = base.bit_length() - 64
-        shift = s - low_bits
-        base_top = base >> s
-        float_top = float(base_top)
         draw = self._rng.getrandbits
-        bits = retries = 0
+        low_bits = prev.bit_length() - 64
+        head = prev >> (low_bits - 64)
+        k = 80
+        a = draw(k)
         while True:
-            r_top = draw(64)
-            bits += 64
-            if r_top <= m_top:
-                p = (float_top / float(base_top + (r_top >> shift))) ** 2 * 2.0**53
+            if a > 0:
+                if k < _HEAD_MAX_BITS:
+                    top = (head << k) // ((a + 1) << 64)
+                    if top == (((head + 1) << k) - 1) // (a << 64):
+                        break
+                else:
+                    scaled = (prev + 1) << k
+                    top = scaled // ((a + 1) << low_bits)
+                    if top == (scaled - 1) // (a << low_bits):
+                        break
+            a = (a << 32) | draw(32)
+            k += 32
+        base = top << low_bits
+        bits = k
+        while True:
+            j = base | draw(low_bits)
+            bits += low_bits
+            if j > prev:
                 u = draw(53)
                 bits += 53
-                if u < p * (1 + _ACCEPT_MARGIN):
-                    r = (r_top << low_bits) | draw(low_bits)
-                    bits += low_bits
-                    if r < m_scale and (
-                        u + 1 <= p * (1 - _ACCEPT_MARGIN)
-                        or self._accept_exactly(base, base + r, u)
-                    ):
-                        self.bits_used += bits
-                        self.retries += retries
-                        return base + r
-            retries += 1
+                if u < (1 << 53) - 1 or self._accept_exactly(max(base, prev + 1), j, u):
+                    self.bits_used += bits
+                    return j
+            self.retries += 1
 
     def _accept_exactly(self, base: int, j: int, u: int) -> bool:
         """True iff U < base(base+1)/(j(j+1)) exactly, where U's first 53
@@ -212,16 +209,36 @@ def lil_stat(word, n: int) -> float:
     return (math.log(d) - n) / math.sqrt(2 * n * math.log(math.log(n)))
 
 
+# sqrt(2 n log log n) at index n >= 3, shared by every call of
+# `lil_running_extremes`.  Growth rebinds a longer tuple, so a table a caller
+# read is never changed under it.
+_lil_scale_table: tuple[float, ...] = (math.nan,) * 3
+
+
+def _lil_scales(last: int) -> tuple[float, ...]:
+    """The iterated-logarithm scale table, grown to index `last` at least."""
+    global _lil_scale_table
+    table = _lil_scale_table
+    if len(table) <= last:
+        log, sqrt = math.log, math.sqrt
+        table += tuple(sqrt(2 * n * log(log(n))) for n in range(len(table), last + 1))
+        _lil_scale_table = table
+    return table
+
+
 def lil_running_extremes(word, start: int = 3) -> tuple[float, float]:
     """(max, min) of the iterated-logarithm statistic over depths start..len."""
     if len(word) < start:
         raise ValueError(f"need at least {start} digits")
     if start < 3:
         raise ValueError("iterated-logarithm scale needs n >= 3")
-    log, sqrt = math.log, math.sqrt
+    last = len(word)
+    log = math.log
     stats = [
-        (log(d) - n) / sqrt(2 * n * log(log(n)))
-        for n, d in zip(range(start, len(word) + 1), word[start - 1 :])
+        (log(d) - n) / s
+        for n, d, s in zip(
+            range(start, last + 1), word[start - 1 :], _lil_scales(last)[start:]
+        )
     ]
     return max(stats), min(stats)
 
@@ -309,7 +326,7 @@ def run_law(law: str, seed: int, n: int, count: int, workers: int = 1) -> LawRep
         "median": _quantile(ordered, 0.50),
         "q75": _quantile(ordered, 0.75),
         "q95": _quantile(ordered, 0.95),
-        "refinement_retries": float(sum(r[3] for r in rows)),
+        "rejected_proposals": float(sum(r[3] for r in rows)),
     }
     if law == "clt":
         summary["ks_distance"] = ks_distance(stats, normal_cdf)

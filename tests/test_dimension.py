@@ -21,10 +21,8 @@ from piercelib.dimension import (
     count_log_bounds,
     dimension_bound_sequences,
     estimate_limits,
-    factorial_bounds,
     find_cover_start,
     gap_ratio_sequence,
-    log_factorial,
     power_growth_cover_sum,
     window_cover_bound,
     window_cover_chains,
@@ -788,12 +786,3 @@ def test_power_floor_is_the_exact_integer_root():
 def test_power_floor_brackets_the_root(sigma, b):
     r, p, q = _power_floor(sigma, b), b.numerator, b.denominator
     assert r**q <= sigma**p < (r + 1) ** q
-
-
-def test_factorial_bounds():
-    assert factorial_bounds(1) == (0.0, 0.0)
-    for n in (2, 5, 10, 50):
-        lo, hi = factorial_bounds(n)
-        exact = log_factorial(n)
-        assert lo - 1e-9 <= exact <= hi + 1e-9
-    assert log_factorial(10) == pytest.approx(math.log(math.factorial(10)))

@@ -138,11 +138,11 @@ def test_path_switches_past_1024_bits():
         )
         assert _next_digit_at(DigitSampler(seed), above) == DigitSampler(
             seed
-        )._block_reject(above)
+        )._head_tail(above - 1)
 
 
-# Bucket edges as multiples of M: within block 1 (acceptance test), across
-# blocks, and the tail.
+# Bucket edges as multiples of M: within M's first multiple, across
+# multiples, and the tail.
 _EDGES = (1, Fraction(5, 4), Fraction(3, 2), 2, 3, 5, 10)
 
 
@@ -166,16 +166,22 @@ def _bucket_counts(digits, m: int) -> list[int]:
 def test_large_scale_digit_law_is_exact(m):
     n = 6000
     sampler = DigitSampler(child_seed(4, m.bit_length()))
-    rejected = [sampler._block_reject(m) for _ in range(n)]
+    inverted = [sampler._head_tail(m - 1) for _ in range(n)]
     refined = [sampler._refine(m) for _ in range(n)]
-    assert all(d >= m for d in rejected + refined)
+    assert all(d >= m for d in inverted + refined)
     probs = _bucket_probs(m)
-    for a, b, p in zip(_bucket_counts(rejected, m), _bucket_counts(refined, m), probs):
+    for a, b, p in zip(_bucket_counts(inverted, m), _bucket_counts(refined, m), probs):
         se = math.sqrt(p * (1 - p) / n)
         assert abs(a / n - p) < 4 * se
         assert abs(b / n - p) < 4 * se
         assert abs(a - b) / n < 4 * se * math.sqrt(2)
-    assert sampler.retries > 0
+    # A rejection is rare on these streams (about 2^-53 per digit), so the
+    # retry counter is checked on a scripted one.
+    script, top = _rejected_once(m - 1)
+    sampler = DigitSampler(0)
+    sampler._rng = _ScriptedRng(script)
+    assert sampler._head_tail(m - 1) >> (m - 1).bit_length() - 64 == top
+    assert sampler.retries == 1
 
 
 class _ScriptedRng:
@@ -229,105 +235,159 @@ def test_acceptance_exact_fallback_matches_fraction():
         assert sampler.bits_used == sum(bits for bits, _ in script[1:used])
 
 
-def _eager_block_digit(m: int, block: int, proposals) -> tuple[int, int]:
-    """The eager in-block rule, kept as the oracle of the lazy one: a
-    full-width r is accepted iff r < M and U < p(base + r), with U read
-    lazily against a `Fraction`.  Returns (digit, rejections)."""
-    base = m * block
-    for rejections, (r, u_draws) in enumerate(proposals):
-        if r < m:
-            p = Fraction(base * (base + 1), (base + r) * (base + r + 1))
-            if _lazy_accept_reference(p, u_draws)[0]:
-                return base + r, rejections
-    raise AssertionError("no proposal accepted")
+def _cell_a(prev: int, x: Fraction, k: int) -> int:
+    """The k-bit a whose cell (a/2^k, (a+1)/2^k] holds the v with
+    M/(2^L v) = x, for M = prev + 1 and L = bit_length(prev) - 64."""
+    low_bits = prev.bit_length() - 64
+    return math.ceil(Fraction((prev + 1) << k, 1 << low_bits) / x) - 1
 
 
-class _ProposalRng:
-    """Stands in for random.Random under `_block_reject`: hands out a
-    first-rung value for the block index, then scripted proposals (r, U
-    draws), each part by the width asked for: 64 bits the top of the next r,
-    width - 64 its low bits, 53 and 32 the first bits and the extensions
-    of its U."""
-
-    def __init__(self, block: int, width: int, proposals):
-        # v in the middle of the block's first-rung cell: 2^17/a = block + 1/2
-        self.rung = (1 << 18) // (2 * block + 1)
-        self.low_bits = width - 64
-        self.proposals = iter(proposals)
-
-    def getrandbits(self, k: int) -> int:
-        if self.rung is not None:
-            assert k == 17
-            rung, self.rung = self.rung, None
-            return rung
-        if k == 64:
-            self.r, self.u_draws = next(self.proposals)
-            self.read = 0
-            return self.r >> self.low_bits
-        if k == self.low_bits:
-            return self.r & ((1 << k) - 1)
-        assert k == self.u_draws[self.read][0]
-        self.read += 1
-        return self.u_draws[self.read - 1][1]
-
-
-def _proposal(m: int, block: int, r: int, u_offset: int, extensions=()):
-    """(r, U draws) with U's first 53 bits and each 32-bit extension at an
-    offset from those of p(base + r)."""
-    base = m * block
-    p = Fraction(base * (base + 1), (base + r) * (base + r + 1))
-    draws, k = [], 53
-    for bits, offset in [(53, u_offset)] + [(32, e) for e in extensions]:
-        value = (math.floor(p * 2**k) & ((1 << bits) - 1)) + offset
-        assert 0 <= value < 1 << bits
-        draws.append((bits, value))
-        k += 32
-    return r, draws
-
-
-def _lazy_scripts(m: int, block: int):
-    """Scripts of (proposal, bits the lazy rule draws for it); the last
-    proposal of each is accepted.  A u offset of 2^30 is outside the float
-    bracket (its margin is at most 2^8 units of 2^-53), 50 inside it."""
-    low_bits = m.bit_length() - 64
-    m_top = m >> low_bits
-    full = 117 + low_bits
-    below, above = m // 3, m // 2
-    assert below >> low_bits < m_top and (m - 1) >> low_bits == m_top == (m + 1) >> low_bits
-
-    def prop(r, u_offset, *extensions):
-        return _proposal(m, block, r, u_offset, extensions)
-
-    return [
-        [
-            (prop((m_top + 1) << low_bits, -(2**30)), 64),  # r_top > M >> L
-            (prop(m, -(2**30)), full),  # U accepts, r = M does not
-            (prop(m + 1, 0), full),  # undecided, r > M rejects first
-            (prop(m - 1, 2**30), 117),  # float bracket rejects
-            (prop(below, 50), full),  # exact rejection from u alone
-            (prop(below, 0, 1), full + 32),
-            (prop(below, 0, 0, 1), full + 64),
-            (prop(below, -(2**30)), full),  # float bracket accepts
-        ],
-        [(prop(m - 1, -(2**30)), full)],  # r_top = M >> L and r < M
-        [(prop(m - 1, 2**30), 117), (prop(above, -50), full)],
-        [(prop((m_top + 1) << low_bits, 0), 64), (prop(above, 0, -1), full + 32)],
-        [(prop(m, -(2**30)), full), (prop(above, 0, 0, -1), full + 64)],
+def _a_draws(a: int, k: int) -> list[tuple[int, int]]:
+    """v's first k bits a as `_head_tail` reads them: 80, then 32 at a time."""
+    return [(80, a >> (k - 80))] + [
+        (32, (a >> shift) & 0xFFFFFFFF) for shift in range(k - 112, -1, -32)
     ]
 
 
-@pytest.mark.parametrize("block", [1, 3])
-@pytest.mark.parametrize("m", [2**1023 + 3, 2**3000 + 7], ids=["2^1023+3", "2^3000+7"])
-def test_lazy_proposals_match_the_eager_rule(m, block):
-    for script in _lazy_scripts(m, block):
-        proposals = [proposal for proposal, _ in script]
-        sampler = DigitSampler(0)
-        sampler._rng = _ProposalRng(block, m.bit_length(), proposals)
-        digit, rejections = _eager_block_digit(m, block, proposals)
-        assert rejections == len(script) - 1
-        assert sampler._block_reject(m) == digit
-        assert sampler.retries == rejections
-        assert sampler.bits_used == 17 + sum(bits for _, bits in script)
+_U_ONES = (53, 2**53 - 1)
+
+
+def _rejected_once(prev: int):
+    """(script, T) of a digit whose first proposal, the top of the cell
+    above M's, is rejected by U's exact fallback; the second, the cell's
+    least digit, is accepted."""
+    low_bits = prev.bit_length() - 64
+    top = ((prev + 1) >> low_bits) + 1
+    a = _cell_a(prev, top + Fraction(1, 2), 80)
+    # 1 - p = 1 - j0(j0+1)/(j(j+1)) ~ 2/T > 2^-85, and U >= 1 - 2^-85
+    script = _a_draws(a, 80) + [(low_bits, 2**low_bits - 1), _U_ONES, (32, 2**32 - 1)]
+    return script + [(low_bits, 0), (53, 0)], top
+
+
+def _head_scale(q: int, top: int, low_bits: int) -> int:
+    """A prev whose head h = prev >> (L - 64) has h + 1 = (top + 1) q: then
+    at a = q 2^16 the upper floor's end (h+1) 2^80/(a 2^64) is the integer
+    top + 1 exactly."""
+    head = (top + 1) * q - 1
+    assert head.bit_length() == 128
+    return (head << (low_bits - 64)) | 987654321
+
+
+def _head_tail_cases():
+    """{id: (prev, script, retries)} for `_head_tail`, one per way a digit
+    is decided; each script is read to its end."""
+    prev = 3 * 2**1099 + 2**1050 + 2**1035 + 12345
+    low_bits = prev.bit_length() - 64
+    m_top = (prev + 1) >> low_bits
+    assert m_top == prev >> low_bits  # M's cell also holds digits <= prev
+    far = m_top + m_top // 2
+    mid = far + Fraction(1, 2)
+
+    def tail(low, *u_draws):
+        return [(low_bits, low), *u_draws]
+
+    cases = {
+        # T decided by the head at 80 bits; u = 2^53 - 2 accepts at once.
+        "head": (prev, _a_draws(_cell_a(prev, mid, 80), 80) + tail(12345, (53, 2**53 - 2)), 0),
+        # v's 80-bit cell meets two values of T; one extension decides it.
+        "extension": (
+            prev,
+            _a_draws(_cell_a(prev, far + Fraction(1, 2**30), 112), 112) + tail(7, (53, 0)),
+            0,
+        ),
+        # The head's upper end is exactly T + 1: only its "- 1" decides T.
+        "head-upper-end": (
+            _head_scale(3 * 2**62 + 5, 2**64 - 12345, 1000),
+            _a_draws((3 * 2**62 + 5) << 16, 80) + [(1000, 5), (53, 0)],
+            0,
+        ),
+        # T in M's cell: j = prev is rejected before U is read, j = M accepted.
+        "below-m": (
+            prev,
+            _a_draws(_cell_a(prev, (Fraction(prev + 1, 2**low_bits) + m_top + 1) / 2, 80), 80)
+            + tail(prev % 2**low_bits)
+            + tail(prev % 2**low_bits + 1, (53, 0)),
+            1,
+        ),
+        # U's first 53 bits are all ones; the exact fallback accepts.
+        "fallback-accepts": (
+            prev,
+            _a_draws(_cell_a(prev, mid, 80), 80) + tail(2**low_bits - 1, _U_ONES, (32, 0)),
+            0,
+        ),
+        # ... and rejects: S and U are redrawn, T is not.
+        "fallback-rejects": (prev, _rejected_once(prev)[0], 1),
+        # In M's cell the fallback compares against j0 = M, not T 2^L.
+        "fallback-in-m-cell": (
+            prev,
+            _a_draws(_cell_a(prev, (Fraction(prev + 1, 2**low_bits) + m_top + 1) / 2, 80), 80)
+            + tail(prev % 2**low_bits + 2, _U_ONES, (32, 2**32 - 2)),
+            0,
+        ),
+    }
+    # The head stays undecided through 208 bits; M itself decides T, at a
+    # cell whose upper end is exactly T + 1.
+    a, top = 2**208 * 2 // 3 + 123456789, (2**64 * 6) // 5
+    cases["m-decides"] = ((top + 1) * a << 900) - 1, _a_draws(a, 208) + [(1108, 42), (53, 0)], 0
+    return cases
+
+
+_CASES = _head_tail_cases()
+
+
+def _head_undecided(prev: int, a: int, k: int) -> bool:
+    head = prev >> (prev.bit_length() - 128)
+    return (head << k) // ((a + 1) << 64) != (((head + 1) << k) - 1) // (a << 64)
+
+
+def _split_script(script, low_bits: int):
+    """(a, k, proposals): v's first k bits a, then each proposal's low bits
+    with the U draws read for it."""
+    a = k = 0
+    proposals = []
+    for bits, value in script:
+        if bits == low_bits:
+            proposals.append((value, []))
+        elif proposals:
+            proposals[-1][1].append((bits, value))
+        else:
+            a, k = (a << bits) | value, k + bits
+    return a, k, proposals
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_head_tail_digit_is_exact(case):
+    # Each scripted digit is checked against M itself.  v's final cell
+    # (a/2^k, (a+1)/2^k] must lie in T's preimage, that is
+    # T <= M 2^k/((a+1) 2^L) and M 2^k/(a 2^L) <= T + 1.  Every proposal
+    # j <= prev must be rejected unread, every other one decided as U's
+    # bits compare with j0(j0+1)/(j(j+1)), j0 = max(T 2^L, M), and the
+    # script must be read to its end.
+    prev, script, retries = _CASES[case]
+    m, low_bits = prev + 1, prev.bit_length() - 64
+    sampler = DigitSampler(0)
+    sampler._rng = _ScriptedRng(script)
+    digit = sampler._head_tail(prev)
+    assert sampler._rng.draws == []
+    assert (sampler.retries, sampler.bits_used) == (retries, sum(b for b, _ in script))
+    a, k, proposals = _split_script(script, low_bits)
+    top = digit >> low_bits
+    assert top * (a + 1) << low_bits <= m << k <= (top + 1) * a << low_bits
+    j0 = max(top << low_bits, m)
+    decisions = []
+    for low, u_draws in proposals:
+        j = (top << low_bits) | low
+        if j <= prev:
+            assert u_draws == []
+            decisions.append(False)
+            continue
+        accepted, used = _lazy_accept_reference(Fraction(j0 * (j0 + 1), j * (j + 1)), u_draws)
+        assert used == len(u_draws)
+        decisions.append(accepted)
+    assert decisions == [False] * retries + [True]
+    assert digit == (top << low_bits) | proposals[-1][0]
+    if case == "m-decides":
+        assert all(_head_undecided(prev, a >> (208 - j), j) for j in range(80, 209, 32))
 
 
 def test_block_path_draws_about_one_bit_per_scale_bit():
@@ -384,6 +444,53 @@ def test_first_rung_digit_law_is_exact(m, bits, resolved, unresolved):
             assert scaled <= a * (d + 1) and (a + 1) * d <= scaled
             counts[0] += 1
     assert counts == [resolved, unresolved]
+
+
+def _refine_deciding_by(decides):
+    """`DigitSampler._refine` with its test q <= r replaced by `decides`."""
+
+    def refine(self, m_scale: int) -> int:
+        k = m_scale.bit_length() + 16
+        a = self._getrandbits(k)
+        while True:
+            if a > 0:
+                q, r = divmod(m_scale << k, a)
+                if decides(q, r):
+                    return q
+            a = (a << 32) | self._getrandbits(32)
+            k += 32
+
+    return refine
+
+
+@pytest.mark.parametrize(
+    "decides",
+    # q < r leaves cells inside one preimage unresolved; q <= r + 1 resolves
+    # cells that straddle two.
+    [lambda q, r: q < r, lambda q, r: q <= r + 1],
+    ids=["q<r", "q<=r+1"],
+)
+def test_first_rung_certificate_rejects_off_by_one_refinements(decides, monkeypatch):
+    monkeypatch.setattr(DigitSampler, "_refine", _refine_deciding_by(decides))
+    with pytest.raises(AssertionError):
+        test_first_rung_digit_law_is_exact(1, 17, 130_349, 723)
+
+
+class _FirstDigitPlusOne(DigitSampler):
+    def next_digit(self) -> int:
+        digit = super().next_digit()
+        if len(self._word) == 1:
+            self._word[0] = digit = digit + 1
+        return digit
+
+
+def test_take_draws_every_digit_through_next_digit():
+    # The benchmark's planted-fault self-test overrides `next_digit` and
+    # expects `take` to return the overridden digits.
+    seed = child_seed(12, 0)
+    first = DigitSampler(seed).take(1)[0]
+    word = _FirstDigitPlusOne(seed).take(5)
+    assert word[0] == first + 1 and len(word) == 5
 
 
 def test_lln_stat_fixtures():
