@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from ._precision import DEFAULT_PRECISION_BITS, PrecisionError, certified_floor, certified_sign
 from .dimension import (
     AnalyticDimension,
-    CoverSumRecord,
     DimensionEstimate,
     LimitEstimate,
     RatioPoint,
@@ -18,7 +17,6 @@ from .dimension import (
     estimate_limits,
     find_cover_start,
     gap_ratio_sequence,
-    power_growth_cover_sum,
     window_cover_bound,
     window_cover_chains,
 )

@@ -35,7 +35,6 @@ from itertools import accumulate
 import mpmath
 
 from ._precision import DEFAULT_PRECISION_BITS, certified_floor
-from .expansion import is_admissible
 from .families import SetSpec, count_constrained_words, emptiness_check, enumerate_constrained_words
 from .intervals import family_basic_interval
 from .profiles import (
@@ -220,17 +219,15 @@ def gap_ratio_sequence(
         return _points(levels, sum_m, log_inv)
 
 
-def count_log_bounds(
-    bounds: BoundsProfile, n: int, margin: float = 0.01
-) -> tuple[float, float, float]:
+def count_log_bounds(bounds: BoundsProfile, n: int) -> tuple[float, float, float]:
     """Log-space bracket for the level-n word count: the count lies within
-    factor c^n of prod Delta_k for any c > Delta/(Delta - 1) with
-    Delta = inf Delta_k; returns (log_lower, log_upper, c)."""
+    factor c^n of prod Delta_k for any c > Delta/(Delta - 1), Delta =
+    inf Delta_k; returns (log_lower, log_upper, c), c taken 0.01 above."""
     deltas = [float(bounds.mp_delta(k)) for k in range(1, n + 1)]
     d_inf = min(deltas)
     if d_inf <= 1:
         raise ValueError(f"window width {d_inf} <= 1 gives no usable constant")
-    c = d_inf / (d_inf - 1) + margin
+    c = d_inf / (d_inf - 1) + 0.01
     log_prod = sum(math.log(d) for d in deltas)
     return log_prod - n * math.log(c), log_prod + n * math.log(c), c
 
@@ -428,36 +425,37 @@ def _dimension_scale_window(u: GrowthProfile, window: int) -> AnalyticDimension:
 # -- cover bounds for exponential digit targets ------------------------------------
 
 
+_SCAN_LIMIT = 256  # last row `find_cover_start` scans
+
+
 def _require_epsilon(epsilon: float) -> None:
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
 
 
-def find_cover_start(
-    phi: GrowthProfile, epsilon: float, scan_limit: int = 256
-) -> int:
+def find_cover_start(phi: GrowthProfile, epsilon: float) -> int:
     """Smallest m so that, for every scanned n >= m, the digit window
     (e^{(1-eps) phi(n)}, e^{(1+eps) phi(n)}] contains an integer and contains
-    one at least n.  Scanned up to scan_limit; failure reported, not guessed.
+    one at least n.  Scanned up to _SCAN_LIMIT; failure reported, not guessed.
 
     Rows are scanned upward.  Where phi = c log n with a rational c > 0 and
     c(1+eps) >= 1 holds exactly, the scan stops at the first row whose two
     certified window floors differ by at least 2: that row and every later
     one are proved to pass (`_windows_widen`).  Every other profile, and
-    every row whose window is decided in floats, is scanned to scan_limit.
+    every row whose window is decided in floats, is scanned to _SCAN_LIMIT.
     """
     _require_epsilon(epsilon)
     widening = _windows_widen(phi, epsilon)
     last_bad = 0
-    for n in range(phi.min_index, scan_limit + 1):
+    for n in range(phi.min_index, _SCAN_LIMIT + 1):
         ok, floor_gap = _cover_row(phi, epsilon, n)
         if not ok:
             last_bad = n
         elif widening and floor_gap is not None and floor_gap >= 2:
             break
     start = max(last_bad + 1, phi.min_index)
-    if start > scan_limit:
-        raise ValueError(f"window conditions still failing at scan limit {scan_limit}")
+    if start > _SCAN_LIMIT:
+        raise ValueError(f"window conditions still failing at scan limit {_SCAN_LIMIT}")
     return start
 
 
@@ -551,124 +549,3 @@ def window_cover_chains(
         levels = range(m + 1, n_max + 1)
         den = {n: (1 - eps) * (sum_phi[n] + values[n + 1]) for n in levels}
         return {"chain1": _points(levels, num1, den), "chain2": _points(levels, num2, den)}
-
-
-# -- cover sums for power-growth digit chains ----------------------------------------
-
-
-@dataclass(frozen=True)
-class CoverSumRecord:
-    log_sum: float
-    log_bound: float | None
-    word_count: int
-    truncated: bool
-    divergent: bool
-    tail_index: int | None
-    detail: str
-
-
-def _power_floor(sigma: int, b) -> int:
-    """floor(sigma^b) for a rational b = p/q >= 0, exactly: the integer q-th
-    root of sigma^p."""
-    if not isinstance(b, (int, Fraction)):
-        raise ValueError(f"growth exponent must be an int or a Fraction, got {b!r}")
-    b = Fraction(b)
-    if b < 0:
-        raise ValueError("need growth exponent b >= 0")
-    return _integer_root(sigma**b.numerator, b.denominator)
-
-
-def _integer_root(x: int, q: int) -> int:
-    """floor(x^(1/q)) for x >= 0 and q >= 1, by integer Newton from above."""
-    if q == 1:
-        return x
-    if q == 2:
-        return math.isqrt(x)
-    if x < 2:
-        return x
-    # 2^ceil(bits/q) > x^(1/q); from above, the Newton step falls to the floor root
-    r = 1 << -(-x.bit_length() // q)
-    while True:
-        s = ((q - 1) * r + x // r ** (q - 1)) // q
-        if s >= r:
-            return r
-        r = s
-
-
-def power_growth_cover_sum(
-    tau: tuple[int, int],
-    b,
-    s: float,
-    n: int,
-    cap: int = 8,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> CoverSumRecord:
-    """s-diameter cover sum over length-n words starting (tau1, tau2) whose
-    digits then satisfy sigma_{k+1} > sigma_k^b, with per-level branching
-    truncated at `cap`.
-
-    Each word's diameter is the exact closed-form total of its infinite child
-    union: (prod 1/sigma_k) / (floor(sigma_n^b) + 1).  The analytic comparison
-    bound zeta(s b)^{M-2} / (tau1^s tau2^{s(1+b)}) converges only for
-    s > 1/b; below that the record carries a divergence warning.
-    """
-    if len(tau) != 2 or not is_admissible(tau):
-        raise ValueError("tau must be two strictly increasing positive digits")
-    if n < 2:
-        raise ValueError("need word length n >= 2")
-    b_f = float(b)
-    if b_f <= 1:
-        raise ValueError("need growth exponent b > 1")
-    sb = s * b_f
-    divergent = sb <= 1
-    with mpmath.workprec(precision_bits):
-        log_terms: list[mpmath.mpf] = []
-        word_count = 0
-        truncated = False
-
-        def log_diam(word: tuple[int, ...]) -> mpmath.mpf:
-            total = mpmath.mpf(0)
-            for d in word:
-                total -= mpmath.log(d)
-            return total - mpmath.log(_power_floor(word[-1], b) + 1)
-
-        stack = [tau]
-        while stack:
-            word = stack.pop()
-            if len(word) == n:
-                word_count += 1
-                log_terms.append(s * log_diam(word))
-                continue
-            lo = _power_floor(word[-1], b) + 1
-            stack.extend(word + (j,) for j in range(lo + cap - 1, lo - 1, -1))
-            truncated = True
-        peak = max(log_terms)
-        log_sum = peak + mpmath.log(
-            mpmath.fsum(mpmath.exp(t - peak) for t in log_terms)
-        )
-        if divergent:
-            return CoverSumRecord(
-                log_sum=float(log_sum),
-                log_bound=None,
-                word_count=word_count,
-                truncated=truncated,
-                divergent=True,
-                tail_index=None,
-                detail=f"s*b = {sb:.4g} <= 1: tail series diverges, no finite bound",
-            )
-        tail_index = max(2, math.ceil(1 + (1 / (sb - 1)) ** (1 / (sb - 1))))
-        log_zeta = mpmath.log(mpmath.zeta(sb))
-        log_bound = (
-            (tail_index - 2) * log_zeta
-            - s * mpmath.log(tau[0])
-            - s * (1 + b_f) * mpmath.log(tau[1])
-        )
-    return CoverSumRecord(
-        log_sum=float(log_sum),
-        log_bound=float(log_bound),
-        word_count=word_count,
-        truncated=truncated,
-        divergent=False,
-        tail_index=tail_index,
-        detail=f"zeta({sb:.4g}) tail certified from index {tail_index}",
-    )

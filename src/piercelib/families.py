@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Any
 
 from .expansion import is_admissible
+from .laws import lil_stat, lln_stat
 from .profiles import (
     DEFAULT_WINDOW,
     BoundsProfile,
@@ -47,6 +48,7 @@ FAMILIES = (
 _WINDOW_FAMILIES = frozenset({"A_kappa", "B_kappa", "E_bounds", "E_star", "S_generic"})
 
 _PROFILE_KEYS = ("profile", "psi", "u", "h1", "h2", "h3")
+_PROFILE_TYPES = {"bounds": BoundsProfile, **dict.fromkeys(_PROFILE_KEYS, GrowthProfile)}
 
 _REQUIRED: dict[str, tuple[str, ...]] = {
     "E_phi": ("profile",),
@@ -71,11 +73,9 @@ def _enc(v: Any) -> Any:
 
 
 def _dec(key: str, v: Any) -> Any:
-    if key == "bounds":
-        return BoundsProfile.from_dict(v)
-    if key in _PROFILE_KEYS:
-        return GrowthProfile.from_dict(v)
-    return _decode(v)
+    if key in _PROFILE_TYPES and isinstance(v, dict):
+        return _PROFILE_TYPES[key].from_dict(v)
+    return _decode(v)  # SetSpec refuses a profile key that holds no dict
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,14 @@ class SetSpec:
         for key in _REQUIRED[self.family]:
             if key not in self.params:
                 raise ValueError(f"family {self.family} requires parameter {key!r}")
+        for key, val in self.params.items():
+            if key in ("alpha", "kappa", "beta"):
+                # an int (not a bool), a Fraction or a float other than NaN
+                ok = type(val) in (int, Fraction, float) and val == val
+            else:
+                ok = isinstance(val, _PROFILE_TYPES.get(key, object))
+            if not ok:
+                raise ValueError(f"parameter {key!r} has the wrong type: {val!r}")
         if self.family == "S_generic":
             m = self.params["m"]
             if not isinstance(m, int) or m < 1:
@@ -277,7 +285,7 @@ def _limit_membership(spec: SetSpec, word: tuple[int, ...]) -> MembershipResult:
         estimate = math.log(word[-1]) / float(phi.mp_value(h))
         label = "log d_n / phi(n)"
     elif fam == "A_alpha":
-        estimate = math.exp(math.log(word[-1]) / h)
+        estimate = math.exp(lln_stat(word, h))
         label = "d_n^(1/n)"
     elif fam == "B_alpha":
         try:
@@ -297,7 +305,7 @@ def _limit_membership(spec: SetSpec, word: tuple[int, ...]) -> MembershipResult:
         estimate = (math.log(word[-1]) - h) / math.pow(h, float(p["alpha"]))
         label = "(log d_n - n)/n^alpha"
     else:  # L_beta
-        estimate = (math.log(word[-1]) - h) / math.sqrt(2 * h * math.log(math.log(h)))
+        estimate = lil_stat(word, h)
         label = "(log d_n - n)/sqrt(2n log log n)"
     emptiness = emptiness_check(spec)
     violated = emptiness.empty and emptiness.status == "proven"

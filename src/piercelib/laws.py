@@ -29,8 +29,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .intervals import IntervalExact, fundamental_interval
-
 # Previous digit from which on digits are drawn by head-and-tail inversion:
 # exactly the scales M = prev + 1 of more than 1024 bits.  Below it a
 # single-divmod refinement is faster; above it the division dominates.
@@ -167,13 +165,6 @@ class DigitSampler:
             self.next_digit()
         return tuple(self._word[:n])
 
-    def constraint_interval(self) -> IntervalExact:
-        """Exact interval of points consistent with every emitted digit: the
-        cylinder of the word.  Re-expanding any point inside reproduces it."""
-        if not self._word:
-            raise ValueError("no digit emitted yet")
-        return fundamental_interval(self.word)
-
 
 def sample_digits(seed: int, n: int) -> tuple[int, ...]:
     """First n digits of a uniform point, deterministic in the seed."""
@@ -274,10 +265,9 @@ class LawReport:
     summary: dict[str, float] = field(default_factory=dict)
 
 
-def _one_sample(args) -> tuple[float, float, float, int]:
+def _one_sample(law: str, seed: int, index: int, n: int) -> tuple[float, float, float, int]:
     """(statistic, lil_max, lil_min, retries) for one seeded sample; the lil
     extremes run from LIL_BAND_START and are zero when n is below it."""
-    law, seed, index, n = args
     sampler = DigitSampler(child_seed(seed, index))
     word = sampler.take(n)
     extremes = (0.0, 0.0)
@@ -299,24 +289,17 @@ def _quantile(ordered: list[float], q: float) -> float:
     return ordered[lo] + (pos - lo) * (ordered[hi] - ordered[lo])
 
 
-def run_law(law: str, seed: int, n: int, count: int, workers: int = 1) -> LawReport:
+def run_law(law: str, seed: int, n: int, count: int) -> LawReport:
     """Monte Carlo sweep of one law statistic at depth n over `count`
-    independently seeded samples.  Deterministic in (law, seed, n, count)
-    regardless of worker count."""
+    independently seeded samples, in this process.  Deterministic in
+    (law, seed, n, count): sample i reads only `child_seed(seed, i)`."""
     if law not in ("lln", "clt", "lil"):
         raise ValueError(f"unknown law {law!r}")
     if count < 1:
         raise ValueError("need count >= 1")
     if n < 1 or (law == "lil" and n < 3):
         raise ValueError(f"depth {n} too small for {law}")
-    jobs = [(law, seed, i, n) for i in range(count)]
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(_one_sample, jobs)
-    else:
-        rows = [_one_sample(job) for job in jobs]
+    rows = [_one_sample(law, seed, i, n) for i in range(count)]
     stats = [r[0] for r in rows]
     ordered = sorted(stats)
     summary: dict[str, float] = {

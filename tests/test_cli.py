@@ -116,6 +116,24 @@ def test_dim_refused_family_exits_3(capsys):
     assert doc["summary"]["status"] == "refused"
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "F_alpha", "params": {"alpha": "x"}},
+        {"family": "B_kappa", "params": {"kappa": None}},
+        {"family": "S_generic", "params": {"m": 1, "h1": {"kind": "affine", "a": 2}, "h2": 3}},
+        {"family": "A_kappa", "params": {"kappa": "abc"}},
+        {"family": "E_alpha_beta", "params": {"alpha": 1, "beta": [1]}},
+    ],
+    ids=lambda spec: spec["family"],
+)
+def test_dim_malformed_parameter_exits_2(capsys, spec):
+    assert main(["dim", json.dumps(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_dim_spec_from_file(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"family": "A_alpha", "params": {"alpha": 7}}))

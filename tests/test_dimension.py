@@ -6,6 +6,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 from piercelib import cli, dimension, profiles
 from piercelib._precision import PrecisionError
 from piercelib.dimension import (
-    _power_floor,
     analytic_dimension,
     box_ratio_sequence,
     count_log_bounds,
@@ -23,7 +23,6 @@ from piercelib.dimension import (
     estimate_limits,
     find_cover_start,
     gap_ratio_sequence,
-    power_growth_cover_sum,
     window_cover_bound,
     window_cover_chains,
 )
@@ -625,9 +624,9 @@ def _full_scan_cover_start(phi, epsilon, scan_limit=256):
     return start
 
 
-def _cover_outcome(search, phi, epsilon, scan_limit):
+def _cover_outcome(search, *args):
     try:
-        return search(phi, epsilon, scan_limit)
+        return search(*args)
     except (ValueError, PrecisionError) as exc:
         return type(exc).__name__, str(exc)
 
@@ -655,9 +654,10 @@ def _log_cover_cases(draw):
 @example((log_profile(1 / (1 + Fraction(0.25))), 0.25, 256))
 def test_cover_start_rule_agrees_with_the_full_scan(case):
     phi, epsilon, scan_limit = case
-    assert _cover_outcome(find_cover_start, phi, epsilon, scan_limit) == _cover_outcome(
-        _full_scan_cover_start, phi, epsilon, scan_limit
-    )
+    # the rule's scan limit is a module constant; the oracle takes it as an argument
+    with mock.patch.object(dimension, "_SCAN_LIMIT", scan_limit):
+        found = _cover_outcome(find_cover_start, phi, epsilon)
+    assert found == _cover_outcome(_full_scan_cover_start, phi, epsilon, scan_limit)
 
 
 def test_cover_start_after_a_failing_row_two():
@@ -721,7 +721,7 @@ def test_kinds_outside_the_cover_rule_are_scanned_as_before(monkeypatch, phi):
 
     monkeypatch.setattr(GrowthProfile, "mp_value", counting)
     floors = _count_floors(monkeypatch)
-    got = _cover_outcome(find_cover_start, phi, 0.01, 256)
+    got = _cover_outcome(find_cover_start, phi, 0.01)
     calls = (Counter(reads), len(floors))
     reads.clear()
     floors.clear()
@@ -743,46 +743,3 @@ def test_cover_chains_small_window_trend():
     chains = window_cover_chains(geo, 0.01, 1, 60)
     assert chains["chain1"][-1].ratio == pytest.approx(1.01 / 0.99 / 3, abs=1e-6)
 
-
-def test_power_growth_cover_sum_frozen():
-    record = power_growth_cover_sum((2, 5), 2, 0.6, 3, cap=1)
-    assert record.word_count == 1
-    assert not record.divergent
-    record = power_growth_cover_sum((2, 5), 2, 0.6, 3, cap=2)
-    assert record.word_count == 2
-    assert record.log_bound is not None
-    assert record.log_sum <= record.log_bound
-    assert record.tail_index == 3127
-
-
-def test_power_growth_cover_sum_divergent_flag():
-    record = power_growth_cover_sum((2, 5), 2, 0.4, 3, cap=2)
-    assert record.divergent
-    assert record.log_bound is None
-
-
-def test_power_growth_diameter_example():
-    # closed-form diameter of the infinite child union below (1, 2) with b = 2
-    record = power_growth_cover_sum((1, 2), 2, 1.0, 2, cap=1)
-    assert math.exp(record.log_sum) == pytest.approx(0.1, abs=1e-12)
-
-
-def test_power_floor_is_the_exact_integer_root():
-    assert _power_floor(8, Fraction(4, 3)) == 16  # 8^(4/3) = 16 exactly
-    assert _power_floor(10**6, Fraction(3, 2)) == 10**9
-    assert _power_floor(7, 3) == 343
-    for b in (1.5, "3/2", Fraction(-1, 2)):
-        with pytest.raises(ValueError):
-            _power_floor(8, b)
-    # an exact power inside the cover sum is decided too
-    assert power_growth_cover_sum((2, 4), Fraction(3, 2), 0.9, 3, cap=2).word_count == 2
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    sigma=st.integers(1, 10**4),
-    b=st.fractions(0, 12, max_denominator=9),
-)
-def test_power_floor_brackets_the_root(sigma, b):
-    r, p, q = _power_floor(sigma, b), b.numerator, b.denominator
-    assert r**q <= sigma**p < (r + 1) ** q

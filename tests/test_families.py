@@ -19,6 +19,7 @@ from piercelib.families import (
     enumerate_constrained_words,
     membership,
 )
+from piercelib.laws import child_seed, lil_stat, lln_stat, sample_digits
 from piercelib.profiles import (
     BoundsProfile,
     GrowthProfile,
@@ -66,6 +67,22 @@ def test_spec_validation():
         SetSpec("F_alpha", {})
     spec = SetSpec("F_alpha", {"alpha": 2})
     assert "F_alpha" in spec.describe()
+    for family, params in [
+        ("F_alpha", {"alpha": "x"}),
+        ("A_alpha", {"alpha": True}),
+        ("A_alpha", {"alpha": math.nan}),
+        ("B_kappa", {"kappa": None}),
+        ("A_kappa", {"kappa": "abc"}),
+        ("E_alpha_beta", {"alpha": 1, "beta": [1]}),
+        ("E_phi", {"profile": "log2"}),
+        ("S_generic", {"m": 1, "h1": affine_profile(2), "h2": 3}),
+        ("S_generic", {"m": 1, "h1": affine_profile(2), "h2": affine_profile(1), "h3": 4}),
+        ("E_bounds", {"bounds": affine_profile(2)}),
+    ]:
+        with pytest.raises(ValueError, match="parameter"):
+            SetSpec(family, params)
+    for alpha in (2, Fraction(3, 2), 0.5, math.inf, -math.inf):
+        assert SetSpec("E_alpha_beta", {"alpha": alpha, "beta": alpha}).params["alpha"] == alpha
 
 
 def test_spec_round_trip():
@@ -285,6 +302,14 @@ def test_membership_limit_families():
     assert est.estimate == pytest.approx(3.0)
     empty = membership(SetSpec("A_alpha", {"alpha": 0.5}), geo, 6)
     assert empty.violated
+    # A_alpha and L_beta read the law statistics themselves, bit for bit
+    for i in range(20):
+        word = sample_digits(child_seed(5, i), 40)
+        for h in (3, 17, 40):
+            a_alpha = membership(SetSpec("A_alpha", {"alpha": 1}), word, h).estimate
+            l_beta = membership(SetSpec("L_beta", {"beta": 1}), word, h).estimate
+            assert a_alpha == math.exp(lln_stat(word, h))
+            assert l_beta == lil_stat(word, h)
 
 
 def test_membership_horizon_validation():
@@ -293,8 +318,9 @@ def test_membership_horizon_validation():
         membership(spec, (2, 3), 5)
     with pytest.raises(ValueError):
         membership(spec, (3, 2), 2)
-    with pytest.raises(ValueError):
-        membership(SetSpec("L_beta", {"beta": 1}), (2, 3), 2)  # needs n >= 3
+    # L_beta's own horizon message comes before lil_stat's
+    with pytest.raises(ValueError, match="L_beta estimate needs horizon >= 3"):
+        membership(SetSpec("L_beta", {"beta": 1}), (2, 3), 2)
 
 
 def test_emptiness_growth_families():

@@ -60,8 +60,9 @@ def test_openness_rule():
 
 
 def test_inadmissible_word_rejected():
-    with pytest.raises(ValueError):
-        fundamental_interval((2, 2))
+    for word in [(2, 2), ()]:
+        with pytest.raises(ValueError):
+            fundamental_interval(word)
 
 
 @given(words)

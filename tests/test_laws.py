@@ -1,13 +1,17 @@
 """Sampler exactness and limit-law statistics."""
 
+import ast
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from piercelib import laws
 from piercelib.expansion import expand
 from piercelib.intervals import fundamental_interval
 from piercelib.laws import (
@@ -48,18 +52,10 @@ def test_digits_never_change_under_refinement():
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=60, deadline=None)
 def test_digit_exactness_via_reexpansion(seed):
-    s = DigitSampler(seed)
-    word = s.take(6)
-    box = s.constraint_interval()
-    cylinder = fundamental_interval(word)
-    assert cylinder.left <= box.left and box.right <= cylinder.right
+    word = DigitSampler(seed).take(6)
+    box = fundamental_interval(word)
     mid = (box.left + box.right) / 2
     assert expand(mid, cap=6).word[:6] == word
-
-
-def test_constraint_interval_needs_a_digit():
-    with pytest.raises(ValueError):
-        DigitSampler(1).constraint_interval()
 
 
 class _OracleSampler:
@@ -224,8 +220,9 @@ def test_acceptance_exact_fallback_matches_fraction():
         [(53, top), (32, low), (32, 2**32 - 1)],
     ]
     for script in scripts:
-        # Every first draw lies inside the float bracket, whose margin 2^-45
-        # exceeds the float ratio's error, so the float filter cannot decide.
+        # `_head_tail` calls `_accept_exactly` only when U's first 53 bits are
+        # all ones; here every first draw lies within a relative 2^-46 of p,
+        # so each decision rests on U's further bits, read 32 at a time.
         assert abs(Fraction(script[0][1], 2**53) - p) < p * Fraction(1, 2**46)
         sampler = DigitSampler(0)
         sampler._rng = _ScriptedRng(script[1:])
@@ -391,9 +388,10 @@ def test_head_tail_digit_is_exact(case):
 
 
 def test_block_path_draws_about_one_bit_per_scale_bit():
-    # A rejected proposal draws 64 or 117 bits, so a block-path digit costs
-    # little more than its scale's width; full-width proposals cost 2.39
-    # times it on these samples.
+    # Past 1024 bits a digit draws T's refinement (80 bits, then 32 per
+    # extension) and L + 53 bits per proposal, L = bit_length(prev) - 64,
+    # and proposals are almost never rejected, so a digit costs little more
+    # than its scale's width.
     for i in range(3):
         sampler = DigitSampler(child_seed(314159, i))
         widths = [(d + 1).bit_length() for d in sampler.take(10**4)[:-1]]
@@ -648,10 +646,15 @@ def test_run_law_report_shape():
 
 
 def test_run_law_deterministic_across_workers():
-    serial = run_law("clt", 11, 80, 24, workers=1)
-    parallel = run_law("clt", 11, 80, 24, workers=3)
-    assert serial.statistics == parallel.statistics
-    assert serial.summary == parallel.summary
+    # run_law is serial; statistic i reads only its child seed, so a worker
+    # that samples child_seed(11, i) alone (as criterion 11 does) agrees
+    first = run_law("clt", 11, 80, 24)
+    again = run_law("clt", 11, 80, 24)
+    assert first.statistics == again.statistics
+    assert first.summary == again.summary
+    assert first.statistics == [
+        clt_stat(sample_digits(child_seed(11, i), 80), 80) for i in range(24)
+    ]
 
 
 def test_run_law_clt_has_ks():
@@ -694,3 +697,26 @@ def test_joint_prefix_probability_matches_interval_length():
     emp = hits / n_samples
     se = math.sqrt(p * (1 - p) / n_samples)
     assert abs(emp - p) < 5 * se
+
+
+def _non_stdlib_imports(source: str) -> list[str]:
+    """Modules a source imports that are not in the standard library;
+    a relative import is never standard."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+            found += [name for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.split(".")[0] not in sys.stdlib_module_names:
+                found.append("." * node.level + module)
+    return found
+
+
+def test_sampler_module_imports_only_the_standard_library():
+    # the sampler and the law statistics stand below every other layer
+    source = Path(laws.__file__).read_text(encoding="utf-8")
+    assert _non_stdlib_imports(source) == []
+    planted = source + "\nimport mpmath\nfrom .intervals import fundamental_interval\n"
+    assert _non_stdlib_imports(planted) == ["mpmath", ".intervals"]

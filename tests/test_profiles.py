@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -742,4 +743,60 @@ def test_src_has_no_unused_imports_or_orphaned_private_names():
     assert _dead_code(planted) == [
         "families: unused import index_scaled_profile",
         "dimension: _orphan never loaded",
+    ]
+
+
+def _exports(init_source: str) -> dict[str, str]:
+    """Each public name the package's `__init__` binds, mapped to the module
+    that defines it: the names it imports, and the submodules they come from."""
+    home = {}
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            home[node.module] = node.module
+            home.update({a.asname or a.name: node.module for a in node.names})
+    return {name: module for name, module in home.items() if not name.startswith("_")}
+
+
+def _public_api_list(readme: str) -> set[str]:
+    """The names in the bulleted list that closes the README's "Public API"
+    section."""
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"`(\w+)`", section[section.index("\n- ") :]))
+
+
+def _unearned_exports(
+    sources: dict[str, str], readers: list[str], listed: set[str]
+) -> list[str]:
+    """Exports that no src module other than their own (and `__init__`) and
+    no reader text reads, by word match, unless listed; and listed names
+    that are not exports."""
+    exports = _exports(sources["__init__"])
+    found = []
+    for name, module in sorted(exports.items()):
+        texts = [text for stem, text in sources.items() if stem not in ("__init__", module)]
+        word = re.compile(rf"\b{name}\b")
+        if name not in listed and not any(word.search(t) for t in texts + readers):
+            found.append(f"{name}: exported, never read, not listed")
+    found += [f"{name}: listed, not exported" for name in sorted(listed - exports.keys())]
+    return found
+
+
+def test_every_export_is_read_or_listed():
+    root = Path(__file__).resolve().parents[1]
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in Path(piercelib.__file__).parent.glob("*.py")
+    }
+    paths = [*sorted((root / "bench").glob("*.py")), root / "tests" / "test_acceptance.py"]
+    readers = [path.read_text(encoding="utf-8") for path in paths + [root / "docs" / "results.md"]]
+    listed = _public_api_list((root / "README.md").read_text(encoding="utf-8"))
+    assert set(_exports(sources["__init__"])) == set(piercelib.__all__)
+    assert _unearned_exports(sources, readers, listed) == []
+    planted = dict(sources)
+    # a name its own module reads, and no other, is still unread
+    planted["dimension"] += "\n\ndef unread_export():\n    return unread_export\n"
+    planted["__init__"] += "\nfrom .dimension import unread_export\n"
+    assert _unearned_exports(planted, readers, listed | {"no_such_export"}) == [
+        "unread_export: exported, never read, not listed",
+        "no_such_export: listed, not exported",
     ]
