@@ -169,14 +169,16 @@ def box_ratio_sequence(
 def _assert_diameter_bound(bounds: BoundsProfile, n: int, enum_cap: int) -> None:
     """With exact rational rows, check the true max diameter of the level-n
     basic intervals against the closed-form bound."""
-    values = [(bounds.l.value(k), bounds.r.value(k)) for k in range(1, n + 2)]
-    if any(lv is None or rv is None for lv, rv in values):
+    rows = [(bounds.l._ratio(k), bounds.r._ratio(k)) for k in range(1, n + 2)]
+    if any(lv is None or rv is None for lv, rv in rows):
         return
     if count_constrained_words(n, bounds) > enum_cap:
         return
-    prod_l = math.prod(lv for lv, _ in values)
-    l_next, r_next = values[-1]
-    bound = 2 * (r_next - l_next) / (prod_l * r_next)
+    # the bound over integer pairs; r_{n+1}'s denominator cancels against the difference's
+    (ln, ld), (rn, rd) = rows[-1]
+    prod_num = math.prod(lv[0] for lv, _ in rows)
+    prod_den = math.prod(lv[1] for lv, _ in rows)
+    bound = Fraction(2 * (rn * ld - ln * rd) * prod_den, ld * prod_num * rn)
     worst = max(
         family_basic_interval(word, bounds).length
         for word in enumerate_constrained_words(n, bounds, cap=enum_cap)

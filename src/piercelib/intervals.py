@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import mpmath
 
@@ -115,11 +116,9 @@ def _basic_from_digits(word: tuple[int, ...], a: int, b: int) -> IntervalExact:
             raise ValueError(f"word {word!r} is not strictly increasing and positive")
         if a <= word[-1]:
             raise ValueError(f"child digits must exceed {word[-1]}, got start {a}")
-    num, den = _fold(word)
-    sign = -1 if len(word) % 2 else 1
-    e_first = Fraction(num * a + sign, den * a)
-    e_last = Fraction(num * (b + 1) + sign, den * (b + 1))
-    if sign < 0:
+    e_first = Fraction(*_fold(word, 1, a))
+    e_last = Fraction(*_fold(word, 1, b + 1))
+    if len(word) % 2:
         return IntervalExact(e_first, e_last)
     return IntervalExact(e_last, e_first)
 
@@ -170,14 +169,13 @@ def epsilon_n(bounds: BoundsProfile, n: int) -> Fraction | mpmath.mpf:
     the caller's mpmath precision."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    values = [bounds.r.value(k) for k in range(1, n + 2)]
-    l_next = bounds.l.value(n + 1)
-    if all(v is not None for v in values) and l_next is not None:
-        prod = Fraction(1)
-        for v in values[:-1]:
-            prod *= v
-        delta = values[-1] - l_next
-        return Fraction(1, 2) * delta / (prod * values[-2] * values[-1])
+    rows = [bounds.r._ratio(k) for k in range(1, n + 2)]
+    l_next = bounds.l._ratio(n + 1)
+    if None not in rows and l_next is not None:
+        # the formula over integer pairs; r_{n+1}'s denominator cancels against delta's
+        (rn, rd), (sn, sd), (ln, ld) = rows[-2], rows[-1], l_next
+        num = (sn * ld - ln * sd) * prod(d for _, d in rows[:-1]) * rd
+        return Fraction(num, 2 * ld * prod(v for v, _ in rows[:-1]) * rn * sn)
     return mpmath.exp(log_epsilon_n(bounds, n))
 
 

@@ -48,12 +48,10 @@ _KINDS = (
 )
 
 
-def _as_exact(v: Any) -> Fraction | None:
-    """Fraction view of a parameter when it is exactly rational."""
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
+def _pair(v: Any) -> tuple[int, int] | None:
+    """(numerator, denominator) of a parameter when it is exactly rational."""
+    if isinstance(v, (Fraction, int)):
+        return v.numerator, v.denominator
     return None
 
 
@@ -82,8 +80,10 @@ def _decode(v: Any) -> Any:
     if v == "-inf":
         return -math.inf
     if isinstance(v, str) and "/" in v:
-        num, den = v.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in v.split("/", 1))
+        if den == 0:
+            raise ProfileError(f"zero denominator in {v!r}")
+        return Fraction(num, den)
     return v
 
 
@@ -151,7 +151,8 @@ class GrowthProfile:
     theta, eta, psi_conditions) for catalog entries; user-built profiles leave
     it empty and get window estimates instead.
 
-    `value` is exact where the formula is rational; `mp_value`, `iv_value`
+    `value` is exact where the formula is rational, a Fraction of the integer
+    pair `_ratio` that floors and exact comparisons read; `mp_value`, `iv_value`
     and `log_value` are one evaluator (`_eval`, `_log`) over `mpmath.mp` or
     `mpmath.iv`.  Inside a question (`_question`) each value and log, and the
     child rows the walks read, is computed once per (context, precision, row).
@@ -171,45 +172,59 @@ class GrowthProfile:
 
     def value(self, n: int) -> Fraction | None:
         """Exact value at n, or None when the formula is not rational."""
+        pair = self._ratio(n)
+        return None if pair is None else Fraction(*pair)
+
+    def _ratio(self, n: int) -> tuple[int, int] | None:
+        """(num, den) of the exact value at n with den > 0, not necessarily
+        in lowest terms, or None when the formula is not rational."""
         self._check_index(n)
         k, p = self.kind, self.params
         if k == "power" or k == "exponential":
-            a = _as_exact(p["a"])
-            coeff, shift = _as_exact(p.get("coeff", 1)), _as_exact(p.get("shift", 0))
+            a, coeff, shift = _pair(p["a"]), _pair(p.get("coeff", 1)), _pair(p.get("shift", 0))
             if a is None or coeff is None or shift is None:
                 return None
+            (an, ad), (cn, cd), (sn, sd) = a, coeff, shift
             if k == "exponential":
-                return coeff * a**n + shift
-            if a.denominator != 1 or a < 0:
+                # a**n for n < 0 (a hand-built min_index) takes a Fraction's sign rule
+                bn, bd = (an**n, ad**n) if n >= 0 else (Fraction(ad, an) ** -n).as_integer_ratio()
+            elif ad != 1 or an < 0:
                 return None
-            return coeff * Fraction(n) ** int(a) + shift
+            else:
+                bn, bd = n**an, 1
+            return cn * bn * sd + sn * cd * bd, cd * bd * sd
         if k == "table":
             values = p["values"]
             if n > len(values):
                 raise ProfileError(
                     f"profile {self.label or self.kind} has {len(values)} rows, no row {n}"
                 )
-            return Fraction(values[n - 1])
+            v = values[n - 1]
+            if not isinstance(v, (Fraction, int)):
+                v = Fraction(v)
+            return v.numerator, v.denominator
         if k == "affine":
-            a, b = _as_exact(p["a"]), _as_exact(p.get("b", 0))
+            a, b = _pair(p["a"]), _pair(p.get("b", 0))
             if a is None or b is None:
                 return None
-            return a * n + b
+            (an, ad), (bn, bd) = a, b
+            return an * n * bd + bn * ad, ad * bd
         if k == "deviation":
-            beta = _as_exact(p["beta"])
-            inner = p["psi"].value(n)
+            beta = _pair(p["beta"])
+            inner = p["psi"]._ratio(n)
             if beta is None or inner is None:
                 return None
-            return n + beta * inner
+            (bn, bd), (vn, vd) = beta, inner
+            return n * bd * vd + bn * vn, bd * vd
         if k == "index_scaled":
-            u = p["u"].value(n)
+            u = p["u"]._ratio(n)
             if u is None:
                 return None
-            return (n + p.get("offset", 0)) * u
+            return (n + p.get("offset", 0)) * u[0], u[1]
         if k == "piecewise":
-            return self._branch(n).value(n)
+            return self._branch(n)._ratio(n)
         if k == "lil" and n <= 2:
-            return Fraction(n)
+            return n, 1
         return None
 
     # -- floating paths ---------------------------------------------------
@@ -295,9 +310,9 @@ class GrowthProfile:
         return _recall(self, ("floor", mpmath.mp.prec, n), self._floor, n)
 
     def _floor(self, n: int) -> int:
-        exact = self.value(n)
-        if exact is not None:
-            return exact.numerator // exact.denominator
+        pair = self._ratio(n)
+        if pair is not None:
+            return pair[0] // pair[1]
         return certified_floor(lambda iv: self.iv_value(n, iv))
 
     def _branch(self, n: int) -> "GrowthProfile":
@@ -603,16 +618,14 @@ def certified_compare(terms: tuple[tuple[int, GrowthProfile, int], ...], const: 
     when every h(n) is rational and certified by interval arithmetic otherwise,
     or None when undecided at the precision ceiling.  Callers state how they
     read a tie (0) and an undecided comparison (None)."""
-    # unit coefficients skip their multiplication: this runs once per checked row
-    total = -const
+    num, den = (-const).as_integer_ratio()
     for c, h, n in terms:
-        v = h.value(n)
-        if v is None:
+        pair = h._ratio(n)
+        if pair is None:
             break
-        total += v if c == 1 else c * v
+        num, den = num * pair[1] + c * pair[0] * den, den * pair[1]
     else:
-        num = total.numerator  # the denominator is positive
-        return (num > 0) - (num < 0)
+        return (num > 0) - (num < 0)  # every den is positive
 
     def diff(iv):
         total = _num(iv, -const)

@@ -134,6 +134,19 @@ def test_dim_malformed_parameter_exits_2(capsys, spec):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "params",
+    [{"alpha": "1/0"}, {"profile": {"kind": "log", "coeff": "1/0"}}],
+    ids=["F_alpha", "E_phi"],
+)
+def test_dim_zero_denominator_exits_2(capsys, params):
+    family = "E_phi" if "profile" in params else "F_alpha"
+    assert main(["dim", json.dumps({"family": family, "params": params})]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: zero denominator in '1/0'\n"
+
+
 def test_dim_spec_from_file(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"family": "A_alpha", "params": {"alpha": 7}}))

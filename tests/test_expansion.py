@@ -1,6 +1,7 @@
 """Exact digit computation and word algebra."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from piercelib.expansion import (
+    _LEAF,
     ExpansionResult,
     _fold,
     affine_map,
@@ -252,7 +254,7 @@ def test_evaluate_matches_fraction_oracle(word):
     assert type(got) is Fraction
     assert got == _oracle_evaluate(word)
     num, den = _fold(word)
-    assert den == digit_product(word)
+    assert den > 0
     assert Fraction(num, den) == got
 
 
@@ -275,6 +277,10 @@ def test_affine_map_matches_fraction_oracle(word, x):
 @settings(max_examples=100, deadline=None)
 @example([0])
 @example([3, 0, -2, 5])
+# wide trailing digits the kernel reduces before it meets the bad ones
+@example([3, 0, -2, 5] + [2**70 + i for i in range(3)])
+# a front longer than a leaf with a wide digit, folded by binary splitting
+@example([0] + [2**65 + i for i in range(20)])
 def test_nonpositive_digit_error_matches_fraction_oracle(word):
     word = tuple(word)
     with pytest.raises(ValueError) as want:
@@ -283,3 +289,106 @@ def test_nonpositive_digit_error_matches_fraction_oracle(word):
         with pytest.raises(ValueError) as got:
             call()
         assert str(got.value) == str(want.value)
+
+
+# -- cylinder kernel oracle ------------------------------------------------------
+# The sequential forward fold that the kernel (reduction from the back, binary
+# splitting of the rest) replaced, frozen as the reference it must match.
+
+
+def _sequential_fold(word):
+    """(num, den) with value(word) = num/den and den = prod(word), unreduced."""
+    num, den, sign = 0, 1, 1
+    for d in word:
+        if d < 1:
+            bad = next(b for b in reversed(word) if b < 1)
+            raise ValueError(f"digits must be positive, got {bad}")
+        num = num * d + sign
+        den *= d
+        sign = -sign
+    return num, den
+
+
+def _uniform_rational(seed, bits):
+    rng = random.Random(seed)
+    q = rng.randrange(2 ** (bits - 1), 2**bits)
+    return Fraction(rng.randint(1, q), q)
+
+
+# x = p/q with q of 64, 256 or 1024 bits: hypothesis draws p near its bounds,
+# which gives short expansions, so half the inputs draw p uniformly from a seed
+wide_rationals = st.one_of(
+    *(_rationals_below(bits) for bits in (64, 256, 1024)),
+    st.builds(_uniform_rational, st.integers(min_value=0), st.sampled_from([64, 256, 1024])),
+)
+
+
+def _assert_kernel_matches(word, a=0, b=1):
+    """g_word(a/b) from the kernel equals value(word) + (-1)^len * a/(b*prod),
+    compared by cross-multiplication, so no gcd of the unreduced oracle runs."""
+    num, den = _sequential_fold(word)
+    want_num, want_den = num * b + (-a if len(word) % 2 else a), den * b
+    got_num, got_den = _fold(word, a, b)
+    assert got_den > 0
+    assert got_num * want_den == want_num * got_den
+
+
+@given(
+    wide_rationals,
+    st.integers(min_value=0),
+)
+@settings(max_examples=60, deadline=None)
+@example(Fraction(7, 9), 1)
+def test_kernel_matches_sequential_fold_on_expansions(x, cut):
+    # reducible: a full expansion, and a prefix applied to its remainder
+    word = expand(x).word
+    _assert_kernel_matches(word)
+    part = expand(x, cap=1 + cut % len(word))
+    _assert_kernel_matches(part.word, part.remainder.numerator, part.remainder.denominator)
+
+
+@given(
+    wide_rationals,
+    st.integers(min_value=0),
+    st.booleans(),
+    st.fractions(),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_sequential_fold_on_prefixes(x, cut, bump, y):
+    # irreducible: a truncated or bumped prefix, at 0 and at an arbitrary point
+    word = expand(x).word
+    prefix = word[: 1 + cut % len(word)]
+    if bump:
+        prefix = bump_last(prefix)
+    _assert_kernel_matches(prefix)
+    _assert_kernel_matches(prefix, y.numerator, y.denominator)
+
+
+# longer than a leaf, digits past 2**64, in any order and sorted
+long_digits = st.lists(
+    st.one_of(
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=2**64),
+        st.integers(min_value=2**64, max_value=2**300),
+    ),
+    min_size=_LEAF + 1,
+    max_size=4 * _LEAF,
+)
+
+
+@given(long_digits.map(tuple) | long_digits.map(lambda xs: tuple(sorted(xs))), st.fractions())
+@settings(max_examples=100, deadline=None)
+def test_kernel_matches_sequential_fold_on_long_words(word, y):
+    _assert_kernel_matches(word)
+    _assert_kernel_matches(word, y.numerator, y.denominator)
+    assert digit_product(word) == _sequential_fold(word)[1]
+
+
+def test_kernel_halves_the_denominator_of_a_full_expansion():
+    # the reduction from the back keeps an expansion's denominator near q,
+    # far below the digit product that the sequential fold returns
+    rng = random.Random(2101)
+    for _ in range(40):
+        q = rng.randrange(2**255, 2**256)
+        word = expand(Fraction(rng.randint(1, q), q)).word
+        assert _fold(word)[1].bit_length() <= digit_product(word).bit_length() // 2

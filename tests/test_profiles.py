@@ -33,6 +33,7 @@ from piercelib.profiles import (
     certified_compare,
     check_deviation_scale,
     deviation_bounds,
+    deviation_profile,
     exp_of_profile,
     exponential_profile,
     find_threshold,
@@ -88,6 +89,108 @@ def test_sqrt_profile_floor_certified():
     assert p.floor(4) == 2
     assert p.floor(99) == 9
     assert p.floor(100) == 10
+
+
+# -- exact row oracle -----------------------------------------------------------
+# The Fraction-arithmetic row evaluation that the integer pairs (`_ratio`)
+# replaced, frozen as the reference for `value` and `floor`.
+
+
+def _oracle_exact(v):
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int):
+        return Fraction(v)
+    return None
+
+
+def _oracle_value(profile, n):
+    profile._check_index(n)
+    k, p = profile.kind, profile.params
+    if k == "power" or k == "exponential":
+        a = _oracle_exact(p["a"])
+        coeff, shift = _oracle_exact(p.get("coeff", 1)), _oracle_exact(p.get("shift", 0))
+        if a is None or coeff is None or shift is None:
+            return None
+        if k == "exponential":
+            return coeff * a**n + shift
+        if a.denominator != 1 or a < 0:
+            return None
+        return coeff * Fraction(n) ** int(a) + shift
+    if k == "table":
+        values = p["values"]
+        if n > len(values):
+            raise ProfileError(f"profile {profile.label or profile.kind} has {len(values)} rows, no row {n}")
+        return Fraction(values[n - 1])
+    if k == "affine":
+        a, b = _oracle_exact(p["a"]), _oracle_exact(p.get("b", 0))
+        if a is None or b is None:
+            return None
+        return a * n + b
+    if k == "deviation":
+        beta = _oracle_exact(p["beta"])
+        inner = _oracle_value(p["psi"], n)
+        if beta is None or inner is None:
+            return None
+        return n + beta * inner
+    if k == "index_scaled":
+        u = _oracle_value(p["u"], n)
+        if u is None:
+            return None
+        return (n + p.get("offset", 0)) * u
+    if k == "piecewise":
+        return _oracle_value(profile._branch(n), n)
+    if k == "lil" and n <= 2:
+        return Fraction(n)
+    return None
+
+
+def _assert_row_matches_oracle(profile, n):
+    want = _oracle_value(profile, n)
+    got = profile.value(n)
+    assert got == want
+    assert type(got) is type(want)
+    pair = profile._ratio(n)
+    assert (pair is None) == (want is None)
+    if want is not None:
+        assert pair[1] > 0
+        assert profile.floor(n) == want.numerator // want.denominator
+
+
+def test_builtin_rows_match_fraction_oracle():
+    for profile in builtin_profiles().values():
+        for n in range(profile.min_index, 40):
+            _assert_row_matches_oracle(profile, n)
+
+
+fractions_20 = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+positive_fractions = st.fractions(min_value=Fraction(1, 60), max_value=6, max_denominator=60)
+# each exact kind, plus parameters and kinds with no exact row (None)
+leaf_profiles = st.one_of(
+    st.builds(power_profile, st.integers(min_value=0, max_value=6), fractions_20, fractions_20),
+    st.builds(power_profile, fractions_20 | st.floats(0.5, 3), fractions_20, fractions_20 | st.floats(-2, 2)),
+    st.builds(exponential_profile, positive_fractions, fractions_20, fractions_20),
+    st.builds(exponential_profile, st.floats(0.5, 3), fractions_20 | st.floats(0.5, 3), fractions_20),
+    st.builds(table_profile, st.lists(fractions_20, min_size=12, max_size=12)),
+    st.builds(affine_profile, fractions_20 | st.floats(-3, 3), fractions_20),
+    st.just(lil_profile()),
+    st.just(sqrt_profile()),
+)
+exact_kind_profiles = st.recursive(
+    leaf_profiles,
+    lambda inner: st.one_of(
+        st.builds(deviation_profile, fractions_20 | st.floats(-2, 2), inner),
+        st.builds(index_scaled_profile, inner, st.integers(min_value=0, max_value=3)),
+        st.builds(piecewise_profile, st.integers(min_value=1, max_value=8), inner, inner),
+    ),
+    max_leaves=4,
+)
+
+
+@given(exact_kind_profiles, st.integers(min_value=1, max_value=12))
+@settings(max_examples=300, deadline=None)
+def test_exact_rows_match_fraction_oracle(profile, n):
+    _assert_row_matches_oracle(profile, n)
 
 
 def test_profile_dict_round_trip():
@@ -379,13 +482,14 @@ def _dim_exits(params, code):
 )
 def test_each_question_is_dropped_when_its_entry_point_ends(monkeypatch, capsys, call, raised):
     opened = []
-    original = GrowthProfile.value
+    original = GrowthProfile._ratio
 
     def watching(self, n):
         opened.append(profiles._rows.get() is not None)
         return original(self, n)
 
-    monkeypatch.setattr(GrowthProfile, "value", watching)
+    # every exact row, floor and comparison reads the integer pair
+    monkeypatch.setattr(GrowthProfile, "_ratio", watching)
     if raised is None:
         call()
     else:
