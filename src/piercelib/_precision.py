@@ -10,6 +10,13 @@ exactly the point 0 is a certified zero, so `certified_sign` returns 0 at once.
 A value still ambiguous at the ceiling (for instance a transcendental
 expression that equals an integer exactly) raises PrecisionError: an undecided
 answer is raised, never resolved.
+
+Floors and signs read the raw endpoints of the enclosure (`libmp` tuples).
+`_floor_of` floors each endpoint with `mpf_floor` at `mpmath.mp`'s precision
+and rounding, as `mpmath.floor` does, so a floor above 2^53 is rounded to the
+caller's `mpmath.mp.prec` (53 bits outside a `workprec`) and can come out
+wrong: that `prec` argument is the defect of ROADMAP item 9, and passing 0
+there floors exactly.  A NaN endpoint decides no sign.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 from typing import Callable
 
 import mpmath
+from mpmath.libmp import fnan, mpf_floor, mpf_sign, to_int
 
 DEFAULT_PRECISION_BITS = 128
 _MAX_PRECISION_BITS = 1 << 16
@@ -31,7 +39,8 @@ def _at_precision(expr: Callable[[mpmath.ctx_iv.MPIntervalContext], object], bit
     old = iv.prec
     try:
         iv.prec = bits
-        return iv.mpf(expr(iv))
+        val = expr(iv)
+        return val if isinstance(val, iv.mpf) else iv.mpf(val)
     finally:
         iv.prec = old
 
@@ -48,17 +57,23 @@ def _escalate(expr, decide, what: str):
 
 
 def _floor_of(val) -> int | None:
-    lo = int(mpmath.floor(val.a))
-    return lo if lo == int(mpmath.floor(val.b)) else None
+    a, b = val._mpi_
+    # the floors are rounded to mpmath.mp.prec: the known defect (module docstring)
+    prec, rnd = mpmath.mp._prec_rounding
+    lo = to_int(mpf_floor(a, prec, rnd))
+    return lo if lo == to_int(mpf_floor(b, prec, rnd)) else None
 
 
 def _sign_of(val) -> int | None:
-    if val.a > 0:
+    a, b = val._mpi_
+    if a == fnan or b == fnan:
+        return None
+    if mpf_sign(a) > 0:
         return 1
-    if val.b < 0:
+    if mpf_sign(b) < 0:
         return -1
     # here a <= 0 <= b, so a == b only for the point 0
-    return 0 if val.a == val.b else None
+    return 0 if a == b else None
 
 
 def certified_floor(expr: Callable[[mpmath.ctx_iv.MPIntervalContext], object]) -> int:

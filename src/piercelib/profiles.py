@@ -57,10 +57,17 @@ def _pair(v: Any) -> tuple[int, int] | None:
 
 def _num(ctx, v: Any):
     """`v` in the context `ctx` (`mpmath.mp` or `mpmath.iv`).  A Fraction's
-    numerator is divided by its int denominator, which is never rounded first."""
+    numerator is divided by its int denominator, which is never rounded first;
+    inside a question that division runs once per (context, precision)."""
     if isinstance(v, Fraction):
-        return ctx.mpf(v.numerator) / v.denominator
+        if v.denominator == 1:
+            return ctx.mpf(v.numerator)
+        return _recall(v, ("num", ctx, ctx.prec), _quotient, ctx, v)
     return ctx.mpf(v)
+
+
+def _quotient(ctx, v: Fraction):
+    return ctx.mpf(v.numerator) / v.denominator
 
 
 def _encode(v: Any) -> Any:
@@ -282,26 +289,44 @@ class GrowthProfile:
         raise ProfileError(f"no float path for kind {self.kind!r}")
 
     def _log(self, ctx, n: int):
-        """Natural log of the value at n in `ctx`.  exp_of, exp_of_scaled and
-        shift-free exponential/power rows never form the value, so cannot overflow."""
+        """Natural log of the value at n in `ctx`.  exp_of, exp_of_scaled,
+        shift-free exponential/power rows with positive coeff and base, and
+        index_scaled rows with n + offset > 0 over such a u never form the
+        value, so cannot overflow.  A value that is not positive raises
+        ProfileError."""
         self._check_index(n)
         k, p = self.kind, self.params
         if k == "exp_of":
             return p["inner"]._row(ctx, n)
         if k == "exp_of_scaled":
-            return p["inner"]._row(ctx, n) + ctx.log(1 + p["psi"]._row(ctx, n) / n)
-        if (k == "exponential" or k == "power") and p.get("shift", 0) == 0:
+            factor = 1 + p["psi"]._row(ctx, n) / n
+            if not factor <= 0:  # else the value is not positive, raised below
+                return p["inner"]._row(ctx, n) + ctx.log(factor)
+        if (
+            (k == "exponential" or k == "power")
+            and p.get("shift", 0) == 0
+            and p.get("coeff", 1) > 0
+            and (k == "power" or p["a"] > 0)
+        ):
             a = _num(ctx, p["a"])
             log_base = n * ctx.log(a) if k == "exponential" else a * ctx.log(n)
             return ctx.log(_num(ctx, p.get("coeff", 1))) + log_base
         if k == "piecewise":
             return self._branch(n)._log_row(ctx, n)
+        if k == "index_scaled" and n + p.get("offset", 0) > 0:
+            # log((n + offset) u(n)) from u's own log row, so an exp_of scale
+            # never forms its value here
+            return ctx.log(n + p.get("offset", 0)) + p["u"]._log_row(ctx, n)
         exact = self.value(n)
         if exact is not None:
             if exact <= 0:
                 raise ProfileError(f"log of non-positive value {exact} at n={n}")
             return ctx.log(ctx.mpf(exact.numerator)) - ctx.log(ctx.mpf(exact.denominator))
-        return ctx.log(self._row(ctx, n))
+        val = self._row(ctx, n)
+        # True for an mpf <= 0, and for an enclosure only when all of it is
+        if val <= 0:
+            raise ProfileError(f"log of non-positive value {val} at n={n}")
+        return ctx.log(val)
 
     def floor(self, n: int) -> int:
         """Exact integer part of the value at n (certified for irrational
@@ -544,13 +569,31 @@ class BoundsProfile:
         return lo <= d <= hi
 
     def mp_delta(self, n: int) -> mpmath.mpf:
+        u = self._window_scale()
+        if u is not None:
+            return u.mp_value(n)
         return self.r.mp_value(n) - self.l.mp_value(n)
 
     def log_delta(self, n: int) -> mpmath.mpf:
         """log(r(n) - l(n)), once per (row, `mpmath.mp.prec`) in a question."""
         return _recall(self, ("log_delta", mpmath.mp.prec, n), self._log_delta, n)
 
+    def _window_scale(self) -> GrowthProfile | None:
+        """u when l and r are (n + o) u(n) and (n + o + 1) u(n) over one u, as
+        every `bounds_from_scale` window is: then r - l = u exactly.  Else None."""
+        l, r = self.l, self.r
+        if (
+            l.kind == r.kind == "index_scaled"
+            and r.params.get("offset", 0) == l.params.get("offset", 0) + 1
+            and l.params["u"] == r.params["u"]
+        ):
+            return l.params["u"]
+        return None
+
     def _log_delta(self, n: int) -> mpmath.mpf:
+        u = self._window_scale()
+        if u is not None:
+            return u.log_value(n)
         delta = self.mp_delta(n)
         if delta <= 0:
             raise ProfileError(f"non-positive digit window at level {n}")

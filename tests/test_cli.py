@@ -1,6 +1,10 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import contextlib
+import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +149,36 @@ def test_dim_zero_denominator_exits_2(capsys, params):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: zero denominator in '1/0'\n"
+
+
+def _sqrt_scaled(offset):
+    return {"kind": "index_scaled", "u": {"kind": "sqrt"}, "offset": offset}
+
+
+@pytest.mark.parametrize(
+    "bounds,message",
+    [
+        # sqrt(n) - 1 is 0 at n = 1: an irrational row, as the affine n - 1 is a rational one
+        (
+            {"l": {"kind": "power", "a": "1/2", "shift": -3}, "r": {"kind": "power", "a": "1/2", "shift": -1}},
+            "error: log of non-positive value 0.0 at n=1\n",
+        ),
+        (
+            {"l": {"kind": "affine", "a": 1, "b": -3}, "r": {"kind": "affine", "a": 1, "b": -1}},
+            "error: log of non-positive value 0 at n=1\n",
+        ),
+        # (n - 1) sqrt(n) and (n - 2) sqrt(n) at n = 1: n + offset <= 0
+        ({"l": _sqrt_scaled(-1), "r": _sqrt_scaled(0)}, "error: log of non-positive value 0.0 at n=1\n"),
+        ({"l": _sqrt_scaled(-2), "r": _sqrt_scaled(0)}, "error: log of non-positive value -1.0 at n=1\n"),
+    ],
+    ids=["irrational", "rational", "index_scaled_zero", "index_scaled_negative"],
+)
+def test_dim_log_of_a_non_positive_row_exits_2(capsys, bounds, message):
+    spec = {"family": "E_bounds", "params": {"bounds": {**bounds, "threshold": 4}}}
+    assert main(["dim", json.dumps(spec), "--n-max", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
 
 
 def test_dim_spec_from_file(tmp_path, capsys):
@@ -384,3 +418,32 @@ def test_dim_undecided_bound_floor_keeps_the_lower_and_upper_rows(capsys):
         for kind in ("box", "gap"):
             assert doc["summary"][f"{kind}_sequence"] == "unavailable: floor undecided at 65536 bits"
         assert [row["bound_kind"] for row in doc["data"]] == ["lower"] * 10 + ["upper"] * 10
+
+
+def _reference_checks():
+    """`check_document`, `dim_argv` and `load_reference` from bench/workloads.py,
+    imported as bench/test_checks.py imports them; the reference is only read."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    from workloads import check_document, dim_argv, load_reference
+
+    return check_document, dim_argv, load_reference
+
+
+def test_dim_documents_match_the_benchmark_reference():
+    # one reference slot: its --n-max 60 documents and its exp-sqrt E_star
+    # document at --n-max 1000, whose scale has the non-integer coefficient 65/64
+    check_document, dim_argv, load_reference = _reference_checks()
+    docs = load_reference()["slots"][1]["docs"]
+    chosen = [
+        doc
+        for doc in docs
+        if doc["n_max"] == 60 or (doc["n_max"] == 1000 and doc["spec"]["family"] == "E_star")
+    ]
+    assert len(chosen) == 6
+    for doc in chosen:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(dim_argv(doc))
+        assert check_document(out.getvalue(), code, doc) is None, doc["spec"]

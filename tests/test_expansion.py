@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,20 @@ def _rationals_below(bits):
     )
 
 
+def _uniform_rational(seed, bits):
+    rng = random.Random(seed)
+    q = rng.randrange(2 ** (bits - 1), 2**bits)
+    return Fraction(rng.randint(1, q), q)
+
+
+# x = p/q with q of 64, 256 or 1024 bits: hypothesis draws p near its bounds,
+# which gives short expansions, so half the inputs draw p uniformly from a seed
+wide_rationals = st.one_of(
+    *(_rationals_below(bits) for bits in (64, 256, 1024)),
+    st.builds(_uniform_rational, st.integers(min_value=0), st.sampled_from([64, 256, 1024])),
+)
+
+
 # digits up to 2**2000, any length from the empty word up, both parities
 big_words = st.lists(
     st.one_of(
@@ -215,7 +230,7 @@ def _assert_same_expansion(got, want):
     assert type(got.remainder) is Fraction
 
 
-@given(st.one_of(_rationals_below(64), _rationals_below(256)), caps)
+@given(wide_rationals, caps)
 @settings(max_examples=300, deadline=None)
 @example(Fraction(7, 9), None)
 @example(Fraction(47, 101), 2)
@@ -223,7 +238,7 @@ def test_expand_matches_fraction_oracle(x, cap):
     _assert_same_expansion(expand(x, cap=cap), _oracle_expand(x, cap=cap))
 
 
-@given(st.one_of(_rationals_below(64), _rationals_below(256)))
+@given(wide_rationals)
 @settings(max_examples=200, deadline=None)
 def test_shift_matches_fraction_oracle(x):
     got = shift(x)
@@ -243,7 +258,14 @@ def test_int_inputs_match_fraction_oracle():
             assert got == _oracle_affine_map(word, x)
 
 
-@given(big_words)
+# an expansion of a wide rational, whole or cut: long words whose wide back
+# the kernel reduces and whose front it may binary-split
+expansion_words = st.builds(
+    lambda x, cut: expand(x).word[: 1 + cut], wide_rationals, st.integers(min_value=0, max_value=400)
+)
+
+
+@given(big_words | expansion_words)
 @settings(max_examples=300, deadline=None)
 @example(())
 @example((5,))
@@ -307,20 +329,6 @@ def _sequential_fold(word):
         den *= d
         sign = -sign
     return num, den
-
-
-def _uniform_rational(seed, bits):
-    rng = random.Random(seed)
-    q = rng.randrange(2 ** (bits - 1), 2**bits)
-    return Fraction(rng.randint(1, q), q)
-
-
-# x = p/q with q of 64, 256 or 1024 bits: hypothesis draws p near its bounds,
-# which gives short expansions, so half the inputs draw p uniformly from a seed
-wide_rationals = st.one_of(
-    *(_rationals_below(bits) for bits in (64, 256, 1024)),
-    st.builds(_uniform_rational, st.integers(min_value=0), st.sampled_from([64, 256, 1024])),
-)
 
 
 def _assert_kernel_matches(word, a=0, b=1):
@@ -392,3 +400,32 @@ def test_kernel_halves_the_denominator_of_a_full_expansion():
         q = rng.randrange(2**255, 2**256)
         word = expand(Fraction(rng.randint(1, q), q)).word
         assert _fold(word)[1].bit_length() <= digit_product(word).bit_length() // 2
+
+
+def test_the_oracle_strategies_reach_the_binary_splitting(monkeypatch):
+    # the kernel splits only a front longer than a leaf that ends in a wide
+    # digit: the expansions of wide_rationals, and the expansion_words that
+    # the evaluate oracle draws, must reach that branch, or no oracle checks it
+    from piercelib import expansion
+
+    reached = Counter()
+    source = []
+    original = expansion._split
+
+    def counting(word, i, j):
+        if j - i > _LEAF:
+            reached[source[-1]] += 1
+        return original(word, i, j)
+
+    monkeypatch.setattr(expansion, "_split", counting)
+
+    @given(wide_rationals, expansion_words)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def draw(x, word):
+        source.append("wide_rationals")
+        evaluate(expand(x).word)
+        source.append("expansion_words")
+        evaluate(word)
+
+    draw()
+    assert set(reached) == {"wide_rationals", "expansion_words"}

@@ -1,13 +1,21 @@
 """The one profile evaluator over `mpmath.mp` and `mpmath.iv`: every kind's
 float value lies inside its interval enclosure, and its bits are pinned."""
 
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from piercelib import profiles
 from piercelib.profiles import (
     _KINDS,
+    BoundsProfile,
+    GrowthProfile,
+    ProfileError,
+    _scale_windows,
     affine_profile,
     deviation_profile,
     exp_of_profile,
@@ -57,7 +65,8 @@ PINNED_LEVELS = (3, 17, 60)
 
 # (mp_value, log_value) at 128 bits as (signed mantissa, exponent) pairs, for
 # the first instance of each kind at n = 3, 17, 60.  They guard the bits that a
-# float tolerance would let through.
+# float tolerance would let through.  The index_scaled log is log(n + offset)
+# plus u's log row, which differs from the log of the value in its last bits.
 PINNED = {
     "power": (
         ((116208589418474868278943689850412795761, -125), (171000828381577807476276373843835187551, -127)),
@@ -105,7 +114,7 @@ PINNED = {
         ((11, 1), (262956810570468062973267603120237984453, -126)),
     ),
     "index_scaled": (
-        ((294693174213430241384087455685767077317, -125), (329325360704616711038817688929272190429, -127)),
+        ((294693174213430241384087455685767077317, -125), (82331340176154177759704422232318047607, -125)),
         ((98649853688686943167847887944736463427, -120), (183198601801507352951467717372022068025, -125)),
         ((157016375675123071982561612372659956299, -118), (65483578685178870625513757031964447367, -123)),
     ),
@@ -170,3 +179,106 @@ def test_mp_and_log_bits_pinned(kind, iv128):
 
 def test_float_affine_has_a_float_path():
     assert affine_profile(0.5, 1).floor(3) == 2
+
+
+# -- the log rules of scale windows ----------------------------------------------
+
+
+def _log_of_value(profile, n):
+    """log(value) as `_log` took it for every index_scaled row before it read
+    u's log: from the exact pair where there is one, else from the mp value."""
+    exact = profile.value(n)
+    if exact is not None:
+        return mpmath.log(exact.numerator) - mpmath.log(exact.denominator)
+    return mpmath.log(profile.mp_value(n))
+
+
+def _close(got, want, bits):
+    return abs(got - want) <= mpmath.mpf(2) ** -bits * max(1, abs(want))
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@given(offset=st.integers(min_value=-1, max_value=40), case=st.integers(min_value=0))
+@settings(max_examples=20, deadline=None)
+def test_index_scaled_log_matches_the_log_of_its_value(kind, offset, case):
+    u = CASES[kind][case % len(CASES[kind])]
+    profile = index_scaled_profile(u, offset)
+    with mpmath.workprec(128):
+        for n in LEVELS:
+            assert _close(profile.log_value(n), _log_of_value(profile, n), 120), (u.label, n)
+
+
+@pytest.mark.parametrize("kind", ["exponential", "exp_of", "lil", "table", "power"])
+def test_scale_window_log_delta_is_the_log_of_the_window(kind):
+    u = CASES[kind][-1]
+    bounds = _scale_windows(u)
+    assert bounds._window_scale() is u
+    with mpmath.workprec(128):
+        for n in LEVELS:
+            width = bounds.r.mp_value(n) - bounds.l.mp_value(n)
+            assert bounds.mp_delta(n) == u.mp_value(n)
+            # r - l in mpmath.mp rounds (n + 1) u and n u apart first
+            assert _close(bounds.log_delta(n), mpmath.log(width), 110), (u.label, n)
+
+
+def test_only_windows_one_scale_apart_read_the_scale():
+    u, twin = sqrt_profile(), sqrt_profile()
+    # equal scales that are distinct objects, as from_dict builds them
+    assert BoundsProfile(index_scaled_profile(u, 2), index_scaled_profile(twin, 3))._window_scale() is u
+    for l, r in [
+        (index_scaled_profile(u, 0), index_scaled_profile(u, 2)),
+        (index_scaled_profile(u, 0), index_scaled_profile(sqrt_profile(2), 1)),
+        (affine_profile(2), affine_profile(2, 2)),
+    ]:
+        bounds = BoundsProfile(l, r)
+        assert bounds._window_scale() is None
+        with mpmath.workprec(128):
+            assert bounds.log_delta(5) == mpmath.log(r.mp_value(5) - l.mp_value(5))
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        power_profile(Fraction(1, 2), shift=-1),
+        exponential_profile(2.5, coeff=-1),
+        # from_dict skips the constructor's a > 0 check
+        GrowthProfile.from_dict({"kind": "exponential", "a": "-5/2"}),
+        index_scaled_profile(sqrt_profile(), -1),
+        index_scaled_profile(sqrt_profile(), -2),
+        exp_of_scaled_profile(sqrt_profile(), affine_profile(-2)),
+    ],
+    ids=[
+        "irrational_zero",
+        "negative_coeff",
+        "negative_base",
+        "scaled_zero",
+        "scaled_negative",
+        "exp_scaled_negative",
+    ],
+)
+def test_log_of_a_non_positive_row_raises(profile):
+    with pytest.raises(ProfileError, match="log of non-positive value"):
+        profile.log_value(1)
+
+
+def test_a_fraction_parameter_converts_once_per_question(monkeypatch):
+    calls = Counter()
+    original = profiles._quotient
+
+    def counting(ctx, v):
+        calls[(ctx is mpmath.iv, v)] += 1
+        return original(ctx, v)
+
+    monkeypatch.setattr(profiles, "_quotient", counting)
+    bounds = _scale_windows(exp_of_profile(sqrt_profile(Fraction(65, 64))))
+    with profiles._question(), mpmath.workprec(128):
+        for n in range(1, 30):
+            bounds.log_delta(n)
+            bounds.l.log_value(n)
+            bounds.digit_range(n)
+    # the mp logs and the iv enclosures at 128 bits: one division each
+    assert calls == Counter({(False, Fraction(65, 64)): 1, (True, Fraction(65, 64)): 1})
+    calls.clear()
+    bounds.l.log_value(3)
+    bounds.l.log_value(3)
+    assert calls == Counter({(False, Fraction(65, 64)): 2})  # no question, no cache

@@ -574,8 +574,9 @@ def test_certified_floor_matches_exact(p, q):
 @pytest.mark.xfail(
     strict=True,
     reason="known defect: _precision._floor_of floors the enclosure endpoints with "
-    "mpmath.floor, which rounds to mpmath.mp.prec (53 bits outside a workprec), "
-    "so a floor above 2^53 can come out wrong",
+    "mpf_floor(end, prec, rnd) at mpmath.mp's precision, so each floor is rounded to "
+    "mpmath.mp.prec (53 bits outside a workprec) and a floor above 2^53 can come out "
+    "wrong; prec = 0 would floor exactly",
 )
 def test_certified_floor_is_exact_above_two_to_the_53():
     assert certified_floor(lambda iv: iv.mpf(3**40) / 7) == 3**40 // 7
