@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable
 
 import mpmath
-from mpmath.libmp import fnan, mpf_floor, mpf_sign, to_int
+from mpmath.libmp import fnan, from_int, mpf_floor, mpf_mul, mpf_sign, to_int
 
 DEFAULT_PRECISION_BITS = 128
 _MAX_PRECISION_BITS = 1 << 16
@@ -56,8 +56,10 @@ def _escalate(expr, decide, what: str):
     raise PrecisionError(f"{what} undecided at {_MAX_PRECISION_BITS} bits")
 
 
-def _floor_of(val) -> int | None:
+def _floor_of(val, k: int = 1) -> int | None:
     a, b = val._mpi_
+    if k != 1:  # k times the enclosure, exactly (`mpf_mul` at prec 0)
+        a, b = mpf_mul(a, from_int(k)), mpf_mul(b, from_int(k))
     # the floors are rounded to mpmath.mp.prec: the known defect (module docstring)
     prec, rnd = mpmath.mp._prec_rounding
     lo = to_int(mpf_floor(a, prec, rnd))
@@ -85,6 +87,18 @@ def certified_floor(expr: Callable[[mpmath.ctx_iv.MPIntervalContext], object]) -
     certified and raise PrecisionError.
     """
     return _escalate(expr, _floor_of, "floor")
+
+
+def _scaled_floors(expr, factors: tuple[int, ...]) -> list[int]:
+    """Floors of k x, k in `factors`, from one escalation over x's enclosure
+    `expr(iv)`.  Floor-then-round is monotone, so each equals `certified_floor`
+    of the `mpmath.iv` product k x: any enclosure of k x that decides agrees."""
+
+    def decide(val):
+        floors = [_floor_of(val, k) for k in factors]
+        return None if None in floors else floors
+
+    return _escalate(expr, decide, "floor")
 
 
 def certified_sign(expr: Callable[[mpmath.ctx_iv.MPIntervalContext], object]) -> int:

@@ -70,11 +70,19 @@ def _load_spec(text: str) -> SetSpec:
 # -- output rendering ----------------------------------------------------------
 
 
+# one flat row's members, a line each at the depth of the rows
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
 def _emit(args, config: dict, columns: list[str], rows: list[dict], summary: dict) -> None:
     header = {"artifact_version": __version__, "config": config}
     if args.format == "json":
-        payload = {"config": header, "data": rows, "summary": summary}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # json.dumps(payload, indent=2, sort_keys=True) with each row, a flat dict
+        # of scalars, by the C encoder; no JSON string holds a raw newline
+        head, tail = (json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n  ") for v in (header, summary))
+        data = "".join(f"\n    {{\n      {_ROW_ENCODER.encode(row)[1:-1]}\n    }}," for row in rows)
+        data = f"[{data[:-1]}\n  ]" if rows else "[]"
+        text = f'{{\n  "config": {head},\n  "data": {data},\n  "summary": {tail}\n}}\n'
     else:
         buf = io.StringIO()
         buf.write("# " + json.dumps(header, sort_keys=True) + "\r\n")
@@ -115,9 +123,7 @@ def cmd_expand(args) -> int:
         "remainder": _frac_str(result.remainder),
         "reconstruction_check": "pass" if reconstructed == x else "fail",
     }
-    config = _base_config(
-        args, "expand", {"x": _frac_str(x), "cap": args.n_max}
-    )
+    config = _base_config(args, "expand", {"x": _frac_str(x), "cap": args.n_max})
     _emit(args, config, ["index", "digit"], rows, summary)
     return EXIT_OK if reconstructed == x else EXIT_INPUT
 
@@ -126,24 +132,11 @@ def cmd_interval(args) -> int:
     word = _parse_word(args.word)
     interval = fundamental_interval(word)
     length = interval_length(word)
-    rows = [
-        {
-            "left": _frac_str(interval.left),
-            "right": _frac_str(interval.right),
-            "left_open": interval.left_open,
-            "right_open": interval.right_open,
-            "length": _frac_str(length),
-        }
-    ]
+    ends = {"left": _frac_str(interval.left), "right": _frac_str(interval.right)}
+    rows = [{**ends, "left_open": interval.left_open, "right_open": interval.right_open, "length": _frac_str(length)}]
     summary = {"interval": str(interval), "length": _frac_str(length)}
     config = _base_config(args, "interval", {"word": list(word)})
-    _emit(
-        args,
-        config,
-        ["left", "right", "left_open", "right_open", "length"],
-        rows,
-        summary,
-    )
+    _emit(args, config, ["left", "right", "left_open", "right_open", "length"], rows, summary)
     return EXIT_OK
 
 
@@ -222,13 +215,7 @@ def cmd_dim(args) -> int:
         phi = spec.params["profile"]
         try:
             start = find_cover_start(phi, epsilon)
-            chains = window_cover_chains(
-                phi,
-                epsilon,
-                start,
-                args.n_max,
-                precision_bits=args.precision_bits,
-            )
+            chains = window_cover_chains(phi, epsilon, start, args.n_max, args.precision_bits)
         # an undecided cover start is reported, not resolved: the chains are
         # left out and the document keeps its analytic value
         except (ValueError, ProfileError, PrecisionError) as exc:
@@ -246,24 +233,9 @@ def cmd_dim(args) -> int:
         "precision_bits": args.precision_bits,
     }
     summary.update(notes)
-    config = _base_config(
-        args,
-        "dim",
-        {
-            "spec": spec.to_dict(),
-            "n_max": args.n_max,
-            "window": args.window,
-            "precision_bits": args.precision_bits,
-            "enum_cap": args.enum_cap,
-        },
-    )
-    _emit(
-        args,
-        config,
-        ["n", "log_count", "log_inv_diam", "ratio", "bound_kind"],
-        rows,
-        summary,
-    )
+    options = {key: getattr(args, key) for key in ("n_max", "window", "precision_bits", "enum_cap")}
+    config = _base_config(args, "dim", {"spec": spec.to_dict(), **options})
+    _emit(args, config, ["n", "log_count", "log_inv_diam", "ratio", "bound_kind"], rows, summary)
     return EXIT_REFUSED if report.status == "refused" else EXIT_OK
 
 
@@ -275,9 +247,7 @@ def cmd_law(args) -> int:
     ]
     summary = dict(sorted(report.summary.items()))
     summary["precision"] = "float64"
-    config = _base_config(
-        args, "law", {"law": args.law, "n": args.n_max, "count": args.count}
-    )
+    config = _base_config(args, "law", {"law": args.law, "n": args.n_max, "count": args.count})
     _emit(args, config, ["seed_index", "n", "statistic"], rows, summary)
     return EXIT_OK
 

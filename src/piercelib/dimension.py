@@ -12,13 +12,15 @@ Parameter-region families take their empty regions from
 The ratio sequences (lower, upper, box, gap), the two cover chains and the
 windowed limit quantities are closed formulas over columns of rows (log r_k,
 log l_k, log Delta_k, log m_k, phi(k) or log u_k), each row evaluated once
-per call, on the rows its formula reads; prefix sums start from a row 0 of
-0, so they add in running-total order.  A `dim` document runs its
-lower/upper, box and gap sequences as one question (`profiles._question`):
-each row's value, log and floor of l and r, its log Delta, and each row of a
-profile node that l and r share (u under n*u(n) and (n+1)*u(n)) is evaluated
-once per (row, context, precision) per document, and the rows are dropped
-when the document ends.
+per call at the working precision.  The sequences and chains sum exactly: a
+call's columns become ints on one fixed-point scale (`_fixed`), prefix sums
+and level formulas run on those ints, and each printed float is the
+correctly rounded value of its exact sum or ratio (`_points`).  A `dim`
+document runs its lower/upper, box and gap sequences as one question
+(`profiles._question`): each row's logs of l and r, its digit range, its
+log Delta, and each row of a profile node that l and r share (u under n*u(n)
+and (n+1)*u(n)) is evaluated once per (row, context, precision) per
+document, and the rows are dropped when the document ends.
 
 `find_cover_start` proves its start instead of scanning to its limit where
 the profile allows it: for phi = c log n with c(1+eps) >= 1 the windows
@@ -91,13 +93,23 @@ def _log_counts(bounds: BoundsProfile, last: int, least: int, message: str) -> l
     return _column(log_count, last)
 
 
-def _points(levels, num, den) -> list[RatioPoint]:
-    """RatioPoint(n, num[n], den[n]) for each level whose denominator (a log
-    inverse diameter) is positive."""
+def _fixed(*columns) -> tuple[int, list[list[int]]]:
+    """The mpf columns as exact ints on one scale s: a row m 2^e becomes
+    m 2^(e+s), s = max(0, -least e), so each row is its int times 2^-s."""
+    rows = [[x._mpf_ for x in column] for column in columns]
+    # a non-finite row raises ProfileError before it can reach a column
+    assert all(bc >= 0 for column in rows for *_, bc in column), "non-finite row"
+    s = max(0, -min(e for column in rows for _, _, e, _ in column))
+    return s, [[(-m if sign else m) << (e + s) for sign, m, e, _ in column] for column in rows]
+
+
+def _points(levels, num, den, s: int) -> list[RatioPoint]:
+    """RatioPoint(n, num[n] 2^-s, den[n] 2^-s, num[n]/den[n]) over exact int
+    sums, each float correctly rounded by int true division, for each level
+    whose denominator (a log inverse diameter) has a positive float."""
+    unit = 1 << s
     return [
-        RatioPoint(n, float(num[n]), float(den[n]), float(num[n] / den[n]))
-        for n in levels
-        if float(den[n]) > 0
+        RatioPoint(n, num[n] / unit, d, num[n] / den[n]) for n in levels if (d := den[n] / unit) > 0
     ]
 
 
@@ -121,27 +133,23 @@ def dimension_bound_sequences(
     if n_max < k0 + 2:
         raise ValueError(f"n_max must be >= threshold + 2 = {k0 + 2}")
     with mpmath.workprec(precision_bits):
-        log_delta = _column(bounds.log_delta, n_max + 2)
-        log_r = _column(bounds.r.log_value, n_max + 2)
-        log_l = _column(bounds.l.log_value, n_max + 2)
-        sum_delta, sum_r, sum_l = (list(accumulate(c)) for c in (log_delta, log_r, log_l))
-        levels = range(k0 + 1, n_max + 1)
-        den_lower = {
-            n: sum_r[n + 1] + log_r[n + 1] + log_r[n + 2] - log_delta[n + 1] - log_delta[n + 2]
-            for n in levels
-        }
-        den_upper = {n: sum_l[n + 1] + log_r[n + 1] - log_delta[n + 1] for n in levels}
-        return DimensionEstimate(
-            lower_seq=_points(levels, sum_delta, den_lower),
-            upper_seq=_points(levels, sum_delta, den_upper),
-        )
+        rows = [_column(f, n_max + 2) for f in (bounds.log_delta, bounds.r.log_value, bounds.l.log_value)]
+    s, (log_delta, log_r, log_l) = _fixed(*rows)
+    sum_delta, sum_r, sum_l = (list(accumulate(c)) for c in (log_delta, log_r, log_l))
+    levels = range(k0 + 1, n_max + 1)
+    den_lower = {
+        n: sum_r[n + 1] + log_r[n + 1] + log_r[n + 2] - log_delta[n + 1] - log_delta[n + 2]
+        for n in levels
+    }
+    den_upper = {n: sum_l[n + 1] + log_r[n + 1] - log_delta[n + 1] for n in levels}
+    return DimensionEstimate(
+        lower_seq=_points(levels, sum_delta, den_lower, s),
+        upper_seq=_points(levels, sum_delta, den_upper, s),
+    )
 
 
 def box_ratio_sequence(
-    bounds: BoundsProfile,
-    n_max: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    enum_cap: int = 4096,
+    bounds: BoundsProfile, n_max: int, precision_bits: int = DEFAULT_PRECISION_BITS, enum_cap: int = 4096
 ) -> list[RatioPoint]:
     """Box-counting upper-bound ratios: exact cover counts against the
     diameter bound diam <= 2 (prod_{k<=n+1} 1/l_k) Delta_{n+1}/r_{n+1}, from
@@ -159,11 +167,11 @@ def box_ratio_sequence(
         log_delta = _column(bounds.log_delta, n_max + 1, first=2)
         for n in range(bounds.threshold + 1, min(n_max, 4) + 1):
             _assert_diameter_bound(bounds, n, enum_cap)
-        sum_m, sum_l = list(accumulate(log_m)), list(accumulate(log_l))
-        levels = range(bounds.threshold + 1, n_max + 1)
-        log_two = mpmath.log(2)
-        log_inv = {n: -log_two + sum_l[n + 1] + log_r[n + 1] - log_delta[n + 1] for n in levels}
-        return _points(levels, sum_m, log_inv)
+        s, (log_m, log_l, log_r, log_delta, (log_two,)) = _fixed(log_m, log_l, log_r, log_delta, [mpmath.log(2)])
+    sum_m, sum_l = list(accumulate(log_m)), list(accumulate(log_l))
+    levels = range(bounds.threshold + 1, n_max + 1)
+    log_inv = {n: -log_two + sum_l[n + 1] + log_r[n + 1] - log_delta[n + 1] for n in levels}
+    return _points(levels, sum_m, log_inv, s)
 
 
 def _assert_diameter_bound(bounds: BoundsProfile, n: int, enum_cap: int) -> None:
@@ -207,18 +215,17 @@ def gap_ratio_sequence(
         log_m = _log_counts(bounds, n_max + 1, 2, "fewer than 2 digit choices at level {}")
         log_r = _column(bounds.r.log_value, n_max + 2)
         log_delta = _column(bounds.log_delta, n_max + 2, first=3)
-        sum_m, sum_r = list(accumulate(log_m)), list(accumulate(log_r))
-        levels = range(k0 + 1, n_max + 1)
-        log_two = mpmath.log(2)
-        log_eps = {
-            n: -log_two - sum_r[n] - log_r[n + 1] - log_r[n + 1] - log_r[n + 2] + log_delta[n + 2]
-            for n in levels
-        }
-        for n in levels[1:]:
-            if not log_eps[n] < log_eps[n - 1]:
-                raise ValueError(f"gap bound fails to shrink at level {n + 1}")
-        log_inv = {n: -(log_m[n + 1] + log_eps[n]) for n in levels}
-        return _points(levels, sum_m, log_inv)
+        s, (log_m, log_r, log_delta, (log_two,)) = _fixed(log_m, log_r, log_delta, [mpmath.log(2)])
+    sum_m, sum_r = list(accumulate(log_m)), list(accumulate(log_r))
+    levels = range(k0 + 1, n_max + 1)
+    log_eps = {
+        n: -log_two - sum_r[n] - 2 * log_r[n + 1] - log_r[n + 2] + log_delta[n + 2] for n in levels
+    }
+    for n in levels[1:]:
+        if not log_eps[n] < log_eps[n - 1]:
+            raise ValueError(f"gap bound fails to shrink at level {n + 1}")
+    log_inv = {n: -(log_m[n + 1] + log_eps[n]) for n in levels}
+    return _points(levels, sum_m, log_inv, s)
 
 
 def count_log_bounds(bounds: BoundsProfile, n: int) -> tuple[float, float, float]:
@@ -497,28 +504,25 @@ def _cover_row(phi: GrowthProfile, epsilon: float, n: int) -> tuple[bool, int | 
     return gap_ok and hi_exp >= math.log(n + 1), None
 
 
-def _cover_rows(phi: GrowthProfile, eps, m: int, last: int):
-    """phi(k) and the logs of the two level-k cover-count bounds for
-    k = m..last, indexed by level, with phi evaluated once per level:
+def _cover_rows(phi: GrowthProfile, epsilon: float, m: int, last: int):
+    """(s, eps, phi(k), num1, num2) for k = m..last, indexed by level, phi
+    read once per level: eps and phi exact at scale s (`_fixed`), and the
+    logs of the two level-k cover-count bounds exact at scale 2s:
 
       num1(n) = m (1+eps) phi(m) + sum_{k=m+1}^{n} (1+eps) phi(k)
       num2(n) = n (1+eps) phi(n) + (n-1) - n log n
     """
     values = _column(phi.mp_value, last, first=m)
-    terms = [(1 + eps) * v for v in values]
-    terms[m] = m * (1 + eps) * values[m]
-    num2 = {
-        n: n * (1 + eps) * values[n] + (n - 1) - n * mpmath.log(n) for n in range(m, last + 1)
-    }
-    return values, list(accumulate(terms)), num2
+    s, (values, logs, (eps,)) = _fixed(values, _column(mpmath.log, last, first=m), [mpmath.mpf(epsilon)])
+    grow = (1 << s) + eps
+    terms = [grow * v for v in values]
+    terms[m] *= m
+    num2 = {n: n * grow * values[n] + (n - 1 << 2 * s) - (n * logs[n] << s) for n in range(m, last + 1)}
+    return s, eps, values, list(accumulate(terms)), num2
 
 
 def window_cover_bound(
-    phi: GrowthProfile,
-    epsilon: float,
-    m: int,
-    n: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
+    phi: GrowthProfile, epsilon: float, m: int, n: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> mpmath.mpf:
     """Log of the level-n cover count bound
     min{ e^{m(1+eps)phi(m)} prod_{k=m+1}^{n} e^{(1+eps)phi(k)},
@@ -527,16 +531,12 @@ def window_cover_bound(
     if n < m:
         raise ValueError("need n >= m")
     with mpmath.workprec(precision_bits):
-        _, num1, num2 = _cover_rows(phi, mpmath.mpf(epsilon), m, n)
-        return min(num1[n], num2[n])
+        s, _, _, num1, num2 = _cover_rows(phi, epsilon, m, n)
+        return mpmath.mpf((min(num1[n], num2[n]), -2 * s))  # rounded once
 
 
 def window_cover_chains(
-    phi: GrowthProfile,
-    epsilon: float,
-    m: int,
-    n_max: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
+    phi: GrowthProfile, epsilon: float, m: int, n_max: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> dict[str, list[RatioPoint]]:
     """Both cover-count/diameter ratio chains, num1(n) and num2(n) of
     `window_cover_bound` over the shared diameter denominator
@@ -545,9 +545,9 @@ def window_cover_chains(
     if n_max < m + 1:
         raise ValueError("need n_max > m")
     with mpmath.workprec(precision_bits):
-        eps = mpmath.mpf(epsilon)
-        values, num1, num2 = _cover_rows(phi, eps, m, n_max + 1)
-        sum_phi = list(accumulate(values))
-        levels = range(m + 1, n_max + 1)
-        den = {n: (1 - eps) * (sum_phi[n] + values[n + 1]) for n in levels}
-        return {"chain1": _points(levels, num1, den), "chain2": _points(levels, num2, den)}
+        s, eps, values, num1, num2 = _cover_rows(phi, epsilon, m, n_max + 1)
+    sum_phi = list(accumulate(values))
+    levels = range(m + 1, n_max + 1)
+    shrink = (1 << s) - eps
+    den = {n: shrink * (sum_phi[n] + values[n + 1]) for n in levels}
+    return {"chain1": _points(levels, num1, den, 2 * s), "chain2": _points(levels, num2, den, 2 * s)}

@@ -27,7 +27,7 @@ from typing import Any
 
 import mpmath
 
-from ._precision import PrecisionError, certified_floor, certified_sign
+from ._precision import PrecisionError, _scaled_floors, certified_floor, certified_sign
 
 DEFAULT_WINDOW = 10_000
 
@@ -406,7 +406,7 @@ def _exact_param(v: Any) -> Any:
 
 
 def _make(kind: str, params: dict[str, Any], *, analytic=None, label="") -> GrowthProfile:
-    min_index = 2 if kind == "log" else 1
+    min_index = params["u"].min_index if kind == "index_scaled" else 2 if kind == "log" else 1
     if kind == "piecewise":
         min_index = max(
             min_index,
@@ -557,8 +557,22 @@ class BoundsProfile:
     scale: GrowthProfile | None = None
 
     def digit_range(self, n: int) -> tuple[int, int]:
-        """Inclusive integer range of admissible digits at level n."""
+        """Inclusive integer range of admissible digits at level n; a scale
+        window's rows with n + o > 0 read u once (`_scale_range`)."""
+        if self._window_scale() is not None and n + self.l.params.get("offset", 0) > 0:
+            return _recall(self, ("range", mpmath.mp.prec, n), self._scale_range, n)
         return self.l.floor(n) + 1, self.r.floor(n)
+
+    def _scale_range(self, n: int) -> tuple[int, int]:
+        """(floor(m u(n)) + 1, floor((m + 1) u(n))), m = n + o, from an exact
+        u row or one escalation over u's enclosure: the floors of l and r."""
+        self.l._check_index(n)
+        u, m = self.l.params["u"], n + self.l.params.get("offset", 0)
+        pair = u._ratio(n)
+        if pair is not None:
+            return m * pair[0] // pair[1] + 1, (m + 1) * pair[0] // pair[1]
+        lo, hi = _scaled_floors(lambda iv: u.iv_value(n, iv), (m, m + 1))
+        return lo + 1, hi
 
     def branch_count(self, n: int) -> int:
         lo, hi = self.digit_range(n)

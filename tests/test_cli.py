@@ -447,3 +447,45 @@ def test_dim_documents_match_the_benchmark_reference():
         with contextlib.redirect_stdout(out):
             code = main(dim_argv(doc))
         assert check_document(out.getvalue(), code, doc) is None, doc["spec"]
+
+
+_ESTAR = json.dumps({"family": "E_star", "params": {"u": {"kind": "builtin", "name": "scale_geometric3"}}})
+_F_ALPHA = json.dumps({"family": "F_alpha", "params": {"alpha": 2}})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "7/9"],
+        ["interval", "2,5,9"],
+        ["dim", _ESTAR, "--n-max", "12"],
+        ["dim", _F_ALPHA, "--n-max", "12"],
+        ["law", "clt", "--n-max", "20", "--count", "5"],
+    ],
+    ids=["expand", "interval", "dim", "dim-no-rows", "law"],
+)
+def test_json_output_is_byte_identical_to_json_dumps(capsys, argv):
+    # rows go through the C encoder, the header and summary through indent=2
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert (payload["data"] == []) == (argv[1] == _F_ALPHA)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_emitted_rows_escape_like_json_dumps(capsys):
+    from types import SimpleNamespace
+
+    from piercelib import cli
+
+    rows = [
+        {"z": 'quote " and \\ back', "a": "line\nbreak\ttab", "u": "é☃", "n": -3},
+        {"f": 1e-300, "inf": float("inf"), "nan": float("nan"), "none": None, "t": True},
+    ]
+    summary = {"nested": {"b": [1, "x\ny"], "a": {}}, "empty": []}
+    args, config = SimpleNamespace(format="json", out="-"), {"k": "v\n"}
+    header = {"artifact_version": cli.__version__, "config": config}
+    for data in (rows, []):
+        cli._emit(args, config, [], data, summary)
+        payload = {"config": header, "data": data, "summary": summary}
+        assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -6,16 +6,20 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from unittest import mock
 
 import mpmath
 import pytest
+from mpmath.libmp import to_rational
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from piercelib import cli, dimension, profiles
 from piercelib._precision import PrecisionError
 from piercelib.dimension import (
+    DimensionEstimate,
+    RatioPoint,
     analytic_dimension,
     box_ratio_sequence,
     count_log_bounds,
@@ -36,6 +40,7 @@ from piercelib.profiles import (
     builtin_profiles,
     deviation_bounds,
     deviation_profile,
+    exp_of_profile,
     exponential_profile,
     lil_profile,
     linear_log_profile,
@@ -184,6 +189,265 @@ def test_ratio_points_bit_identical_to_pinned_digests():
     assert got == PINNED_DIGESTS
 
 
+# -- the exact kernel against the mpmath.mp formulas it replaced ------------------
+#
+# The bodies below are the sequence formulas and `_cover_rows` as they ran in
+# mpmath.mp at the working precision before the fixed-point kernel; their
+# points keep the mpf values.  Every printed float must come out as the
+# oracle's float, except at a rounding tie: where the true value is halfway
+# between two floats (rational rows times a float eps can be), the exact sum
+# of the rounded rows and the 128-bit sum may fall on opposite sides of it.
+
+
+def _mp_column(f, last, first=1):
+    return [mpmath.mpf(0)] * first + [f(k) for k in range(first, last + 1)]
+
+
+def _mp_log_counts(bounds, last, least, message):
+    def log_count(k):
+        m = bounds.branch_count(k)
+        if m < least:
+            raise ValueError(message.format(k))
+        return mpmath.log(m)
+
+    return _mp_column(log_count, last)
+
+
+def _mp_points(levels, num, den):
+    return [(n, num[n], den[n], num[n] / den[n]) for n in levels if float(den[n]) > 0]
+
+
+def _rounds_alike(got: float, want) -> bool:
+    """got is float(want), or a float nearest to some real within 2^-110
+    (relative) of want: the other side of a rounding tie."""
+    if got == float(want):
+        return True
+    exact = Fraction(*to_rational(want._mpf_))
+    return abs(Fraction(got) - exact) <= Fraction(math.ulp(got)) / 2 + abs(exact) / 2**110
+
+
+def _agree(points, oracle) -> bool:
+    """The kernel's RatioPoints against the oracle's mpf points, level by
+    level; an error outcome must be the same error."""
+    if isinstance(points, tuple) or isinstance(oracle, tuple):
+        return points == oracle
+    return [p.n for p in points] == [n for n, *_ in oracle] and all(
+        _rounds_alike(got, want)
+        for p, (_, *values) in zip(points, oracle)
+        for got, want in zip((p.log_count, p.log_inv_diam, p.ratio), values)
+    )
+
+
+def _mp_bound_sequences(bounds, n_max, precision_bits=128):
+    k0 = bounds.threshold
+    if n_max < k0 + 2:
+        raise ValueError(f"n_max must be >= threshold + 2 = {k0 + 2}")
+    with mpmath.workprec(precision_bits):
+        log_delta = _mp_column(bounds.log_delta, n_max + 2)
+        log_r = _mp_column(bounds.r.log_value, n_max + 2)
+        log_l = _mp_column(bounds.l.log_value, n_max + 2)
+        sum_delta, sum_r, sum_l = (list(accumulate(c)) for c in (log_delta, log_r, log_l))
+        levels = range(k0 + 1, n_max + 1)
+        den_lower = {
+            n: sum_r[n + 1] + log_r[n + 1] + log_r[n + 2] - log_delta[n + 1] - log_delta[n + 2]
+            for n in levels
+        }
+        den_upper = {n: sum_l[n + 1] + log_r[n + 1] - log_delta[n + 1] for n in levels}
+        return DimensionEstimate(
+            lower_seq=_mp_points(levels, sum_delta, den_lower),
+            upper_seq=_mp_points(levels, sum_delta, den_upper),
+        )
+
+
+def _mp_box(bounds, n_max, precision_bits=128, enum_cap=4096):
+    with mpmath.workprec(precision_bits):
+        log_m = _mp_log_counts(bounds, n_max, 1, "digit window closes at level {}")
+        log_l = _mp_column(bounds.l.log_value, n_max + 1)
+        log_r = _mp_column(bounds.r.log_value, n_max + 1, first=2)
+        log_delta = _mp_column(bounds.log_delta, n_max + 1, first=2)
+        for n in range(bounds.threshold + 1, min(n_max, 4) + 1):
+            dimension._assert_diameter_bound(bounds, n, enum_cap)
+        sum_m, sum_l = list(accumulate(log_m)), list(accumulate(log_l))
+        levels = range(bounds.threshold + 1, n_max + 1)
+        log_two = mpmath.log(2)
+        log_inv = {n: -log_two + sum_l[n + 1] + log_r[n + 1] - log_delta[n + 1] for n in levels}
+        return _mp_points(levels, sum_m, log_inv)
+
+
+def _mp_gap(bounds, n_max, precision_bits=128):
+    k0 = bounds.threshold
+    if n_max < k0 + 1:
+        raise ValueError(f"n_max must be >= threshold + 1 = {k0 + 1}")
+    with mpmath.workprec(precision_bits):
+        log_m = _mp_log_counts(bounds, n_max + 1, 2, "fewer than 2 digit choices at level {}")
+        log_r = _mp_column(bounds.r.log_value, n_max + 2)
+        log_delta = _mp_column(bounds.log_delta, n_max + 2, first=3)
+        sum_m, sum_r = list(accumulate(log_m)), list(accumulate(log_r))
+        levels = range(k0 + 1, n_max + 1)
+        log_two = mpmath.log(2)
+        log_eps = {
+            n: -log_two - sum_r[n] - log_r[n + 1] - log_r[n + 1] - log_r[n + 2] + log_delta[n + 2]
+            for n in levels
+        }
+        for n in levels[1:]:
+            if not log_eps[n] < log_eps[n - 1]:
+                raise ValueError(f"gap bound fails to shrink at level {n + 1}")
+        log_inv = {n: -(log_m[n + 1] + log_eps[n]) for n in levels}
+        return _mp_points(levels, sum_m, log_inv)
+
+
+def _mp_cover_rows(phi, eps, m, last):
+    values = _mp_column(phi.mp_value, last, first=m)
+    terms = [(1 + eps) * v for v in values]
+    terms[m] = m * (1 + eps) * values[m]
+    num2 = {
+        n: n * (1 + eps) * values[n] + (n - 1) - n * mpmath.log(n) for n in range(m, last + 1)
+    }
+    return values, list(accumulate(terms)), num2
+
+
+def _mp_cover_bound(phi, epsilon, m, n, precision_bits=128):
+    with mpmath.workprec(precision_bits):
+        _, num1, num2 = _mp_cover_rows(phi, mpmath.mpf(epsilon), m, n)
+        return min(num1[n], num2[n])
+
+
+def _mp_cover_chains(phi, epsilon, m, n_max, precision_bits=128):
+    with mpmath.workprec(precision_bits):
+        eps = mpmath.mpf(epsilon)
+        values, num1, num2 = _mp_cover_rows(phi, eps, m, n_max + 1)
+        sum_phi = list(accumulate(values))
+        levels = range(m + 1, n_max + 1)
+        den = {n: (1 - eps) * (sum_phi[n] + values[n + 1]) for n in levels}
+        return {"chain1": _mp_points(levels, num1, den), "chain2": _mp_points(levels, num2, den)}
+
+
+_FRACTIONS = st.fractions(2, 10, max_denominator=8)
+
+
+@st.composite
+def _bound_cases(draw):
+    """(bounds, n_max, bits): scale windows over exponential, exp_of, power
+    and sqrt scales, deviation bounds over lil and sqrt, and E_bounds whose l
+    and r are unrelated."""
+    kind = draw(st.sampled_from(["exponential", "exp_of", "power", "sqrt", "deviation", "unrelated"]))
+    if kind == "exponential":
+        a = draw(st.fractions(Fraction(5, 4), 4, max_denominator=8))
+        bounds = profiles._scale_windows(exponential_profile(a, coeff=draw(_FRACTIONS)))
+    elif kind == "exp_of":
+        inner = sqrt_profile(draw(st.fractions(Fraction(3, 4), 3, max_denominator=8)))
+        bounds = profiles._scale_windows(exp_of_profile(inner))
+    elif kind == "power":
+        u = power_profile(draw(st.integers(1, 4)), coeff=draw(_FRACTIONS))
+        bounds = profiles._scale_windows(u)
+    elif kind == "sqrt":
+        bounds = profiles._scale_windows(sqrt_profile(draw(_FRACTIONS)))
+    elif kind == "deviation":
+        psi, window = draw(st.sampled_from([(lil_profile(), 64), (sqrt_profile(), 256)]))
+        beta = draw(st.sampled_from([Fraction(1, 2), 1, 2]))
+        bounds = deviation_bounds(psi, beta, k_limit=40, window=window)
+    else:
+        l = draw(st.sampled_from([affine_profile(2), power_profile(2), sqrt_profile(3)]))
+        r = draw(st.sampled_from([exponential_profile(3), power_profile(3, coeff=2), exp_of_profile(sqrt_profile(2))]))
+        bounds = BoundsProfile(l, r, threshold=draw(st.integers(0, 2)))
+    return bounds, draw(st.integers(3, 40)), draw(st.sampled_from([128, 256]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bound_cases())
+def test_the_exact_sequences_print_the_mp_formulas_floats(case):
+    bounds, n_max, bits = case
+    lower_upper = _outcome(dimension_bound_sequences, bounds, n_max, bits)
+    want = _outcome(_mp_bound_sequences, bounds, n_max, bits)
+    if isinstance(want, tuple):
+        assert lower_upper == want
+    else:
+        assert _agree(lower_upper.lower_seq, want.lower_seq)
+        assert _agree(lower_upper.upper_seq, want.upper_seq)
+    for exact, oracle in ((box_ratio_sequence, _mp_box), (gap_ratio_sequence, _mp_gap)):
+        assert _agree(_outcome(exact, bounds, n_max, bits), _outcome(oracle, bounds, n_max, bits))
+
+
+@st.composite
+def _chain_cases(draw):
+    """(phi, eps, m, n_max, bits) over log and power phi."""
+    if draw(st.booleans()):
+        phi, m = log_profile(draw(st.fractions(Fraction(1, 2), 6, max_denominator=8))), draw(st.integers(2, 20))
+    else:
+        coeff = draw(st.fractions(Fraction(1, 4), 3, max_denominator=8))
+        phi, m = power_profile(draw(st.integers(1, 3)), coeff=coeff), draw(st.integers(1, 20))
+    eps = float(draw(st.fractions(Fraction(1, 1000), Fraction(999, 1000), max_denominator=1000)))
+    return phi, eps, m, m + draw(st.integers(1, 60)), draw(st.sampled_from([128, 256]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chain_cases())
+def test_the_exact_cover_chains_print_the_mp_formulas_floats(case):
+    phi, eps, m, n_max, bits = case
+    chains, want = window_cover_chains(phi, eps, m, n_max, bits), _mp_cover_chains(phi, eps, m, n_max, bits)
+    assert chains.keys() == want.keys()
+    assert all(_agree(chains[name], want[name]) for name in chains)
+    for n in (m, n_max):
+        bound = window_cover_bound(phi, eps, m, n, bits)
+        assert _rounds_alike(float(bound), _mp_cover_bound(phi, eps, m, n, bits))
+
+
+def test_a_rounding_tie_may_fall_either_side():
+    # phi(n) = n/3, m = 1: num1(2) = (1 + eps)(1/3 + 2/3) is halfway between
+    # two floats; the rounded thirds put the exact sum just off the tie
+    phi, eps = power_profile(1, coeff=Fraction(1, 3)), 0.9006696428571429
+    bound, want = window_cover_bound(phi, eps, 1, 2), _mp_cover_bound(phi, eps, 1, 2)
+    assert float(bound) != float(want) and _rounds_alike(float(bound), want)
+    assert not _rounds_alike(float(bound) + 1e-15, want)
+
+
+def _exact(x) -> Fraction:
+    return Fraction(*to_rational(x._mpf_))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.tuples(st.integers(-(2**140), 2**140), st.integers(-300, 300)), max_size=6),
+        min_size=1,
+        max_size=3,
+    ).filter(lambda columns: any(columns)),
+    st.sampled_from([53, 128, 256]),
+)
+def test_fixed_reads_every_row_exactly_on_one_scale(columns, bits):
+    with mpmath.workprec(bits):
+        columns = [[mpmath.ldexp(man, exp) for man, exp in column] for column in columns]
+    s, ints = dimension._fixed(*columns)
+    assert s == max(0, -min(x._mpf_[2] for column in columns for x in column))
+    for column, exact in zip(columns, ints):
+        assert [Fraction(i, 1 << s) for i in exact] == [_exact(x) for x in column]
+
+
+def test_fixed_reads_the_log_rows_of_a_document_exactly():
+    bounds = bounds_from_scale(builtin_profiles()["scale_exp_sqrt"])
+    with mpmath.workprec(128):
+        columns = [[bounds.l.log_value(n) for n in range(1, 40)], [bounds.log_delta(n) for n in range(1, 40)]]
+    s, ints = dimension._fixed(*columns)
+    for column, exact in zip(columns, ints):
+        assert [Fraction(i, 1 << s) for i in exact] == [_exact(x) for x in column]
+
+
+def test_fixed_refuses_a_non_finite_row():
+    for row in (mpmath.inf, -mpmath.inf, mpmath.nan):
+        with pytest.raises(AssertionError, match="non-finite row"):
+            dimension._fixed([mpmath.mpf(1), row])
+
+
+def test_a_planted_non_shrinking_gap_raises_at_the_same_level():
+    # r_7 = 10^6 widens the level-7 window: eps_8 is larger than eps_7
+    bounds = BoundsProfile(
+        l=table_profile([2] * 12), r=table_profile([4] * 6 + [10**6] + [4] * 5), threshold=0
+    )
+    message = (ValueError, "gap bound fails to shrink at level 8")
+    assert _outcome(_mp_gap, bounds, 10) == message
+    assert _outcome(gap_ratio_sequence, bounds, 10) == message
+
+
 def _record_rows(monkeypatch, owners, methods):
     """Count calls per (name, row) of the given row methods of the named
     profiles."""
@@ -245,13 +509,14 @@ def test_each_bound_row_is_evaluated_once(monkeypatch, sequence, expected):
 
 def _record_computations(monkeypatch, owners):
     """Count the uncached computations per (name, row) of the named owners:
-    the `_eval` and `_log` walks in mpmath.mp, the floor computation and the
-    log-Delta computation."""
+    the `_eval` and `_log` walks in mpmath.mp, the floor computation, the
+    scale window's digit range and the log-Delta computation."""
     calls = Counter()
     for cls, method in (
         (GrowthProfile, "_eval"),
         (GrowthProfile, "_log"),
         (GrowthProfile, "_floor"),
+        (BoundsProfile, "_scale_range"),
         (BoundsProfile, "_log_delta"),
     ):
         def wrapper(self, *args, _method=method, _original=getattr(cls, method)):
@@ -273,7 +538,7 @@ def test_each_bound_row_is_evaluated_once_per_dim_document(monkeypatch, capsys):
 
     def capture(spec, window):
         bounds = made(spec, window)
-        owners.update(l=bounds.l, r=bounds.r)
+        owners.update(bounds=bounds, l=bounds.l, r=bounds.r)
         return bounds
 
     monkeypatch.setattr(cli, "_bounds_for_spec", capture)
@@ -285,11 +550,11 @@ def test_each_bound_row_is_evaluated_once_per_dim_document(monkeypatch, capsys):
     assert {row["bound_kind"] for row in json.loads(capsys.readouterr().out)["data"]} == {
         "lower", "upper", "box", "gap",
     }
-    # log Delta is u's log (r - l = u), so no mpmath.mp value of l or r is formed
-    expected = Counter()
+    # log Delta is u's log (r - l = u), so no mpmath.mp value of l or r is
+    # formed; each window row's digit range is read once, with no floor of l or r
+    expected = _once("bounds._log_delta", range(1, 63)) + _once("bounds._scale_range", range(1, 62))
     for name in ("l", "r"):
         expected += _once(f"{name}._log", range(1, 63))
-        expected += _once(f"{name}._floor", range(1, 62))
     assert calls == expected
 
 
@@ -308,16 +573,21 @@ def test_a_dim_document_evaluates_shared_rows_once(monkeypatch, capsys):
         deltas[n] += 1
         return original_delta(self, n)
 
-    made = cli._bounds_for_spec
+    made, read = cli._bounds_for_spec, {}
 
     def fresh(spec, window):
-        bounds = made(spec, window)
+        bounds = read["bounds"] = made(spec, window)
         walks.clear()  # the document's reads, not bounds_from_scale's certificate
         return bounds
+
+    def gap_in_question(*args):
+        read["rows"] = profiles._rows.get()  # the document's question
+        return gap_ratio_sequence(*args)
 
     monkeypatch.setattr(GrowthProfile, "_eval", counting_eval)
     monkeypatch.setattr(BoundsProfile, "_log_delta", counting_delta)
     monkeypatch.setattr(cli, "_bounds_for_spec", fresh)
+    monkeypatch.setattr(cli, "gap_ratio_sequence", gap_in_question)
     spec = json.dumps(
         {"family": "E_star", "params": {"u": {"kind": "builtin", "name": "scale_exp_sqrt"}}}
     )
@@ -332,6 +602,12 @@ def test_a_dim_document_evaluates_shared_rows_once(monkeypatch, capsys):
     assert {n for n, in_iv, _ in walks if in_iv} == set(range(1, 62))
     assert set(walks.values()) == {1}
     assert deltas == Counter(range(1, 63))
+    # the digit ranges read u's enclosure: the question stores no l or r
+    # enclosure, only u's
+    bounds = read["bounds"]
+    iv_owners = {slot[0] for slot in read["rows"] if isinstance(slot, tuple) and mpmath.iv in slot}
+    assert id(bounds.scale) in iv_owners
+    assert not iv_owners & {id(bounds.l), id(bounds.r)}
 
 
 SANDWICH_BOUNDS = {

@@ -1,12 +1,13 @@
 """The one profile evaluator over `mpmath.mp` and `mpmath.iv`: every kind's
 float value lies inside its interval enclosure, and its bits are pinned."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from piercelib import profiles
@@ -282,3 +283,70 @@ def test_a_fraction_parameter_converts_once_per_question(monkeypatch):
     bounds.l.log_value(3)
     bounds.l.log_value(3)
     assert calls == Counter({(False, Fraction(65, 64)): 2})  # no question, no cache
+
+
+# -- digit ranges of scale windows ------------------------------------------------
+
+# exact and irrational scales; exp(29 + n) passes 2^53 at n = 8 and is e^60,
+# whose floor depends on mpmath.mp.prec, at n = 31
+RANGE_SCALES = (
+    exponential_profile(3, coeff=2),
+    exponential_profile(Fraction(5, 2), coeff=Fraction(1, 3)),
+    power_profile(3, coeff=Fraction(1, 2)),
+    table_profile([Fraction(k * k + 1, 3) for k in range(1, 61)]),
+    sqrt_profile(Fraction(3, 2)),
+    lil_profile(),
+    exp_of_profile(sqrt_profile()),
+    exp_of_profile(table_profile(range(30, 90))),
+)
+
+
+@given(
+    u=st.sampled_from(RANGE_SCALES),
+    offset=st.integers(min_value=0, max_value=40),
+    n=st.integers(min_value=1, max_value=60),
+    prec=st.sampled_from([53, 128]),
+)
+@example(u=RANGE_SCALES[-1], offset=0, n=31, prec=53)
+@example(u=RANGE_SCALES[-1], offset=0, n=31, prec=128)
+@settings(max_examples=150, deadline=None)
+def test_a_scale_window_range_is_the_floors_of_l_and_r(u, offset, n, prec):
+    bounds = BoundsProfile(index_scaled_profile(u, offset), index_scaled_profile(u, offset + 1))
+    assert bounds._window_scale() is u
+    with mpmath.workprec(prec):
+        assert bounds.digit_range(n) == (bounds.l.floor(n) + 1, bounds.r.floor(n))
+
+
+def test_an_undecided_scale_row_escalates_once_for_both_floors(monkeypatch):
+    # 3 u(3) = 7 + 3 * 2^-150: the 128-bit enclosure straddles 7, the 256-bit
+    # one decides both floor(3 u) = 7 and floor(4 u) = 9
+    u = sqrt_profile(label="scripted")
+    builds, original = [], GrowthProfile._eval
+
+    def scripted(self, ctx, n):
+        if self.label != "scripted" or ctx is not mpmath.iv:
+            return original(self, ctx, n)
+        builds.append(ctx.prec)
+        frac = ctx.prec - 16
+        lo = math.floor((Fraction(7, 3) + Fraction(1, 2**150)) * 2**frac)
+        return ctx.mpf([lo - 1, lo + 1]) / ctx.mpf(2) ** frac
+
+    monkeypatch.setattr(GrowthProfile, "_eval", scripted)
+    bounds = _scale_windows(u)
+    assert bounds.digit_range(3) == (8, 9)
+    assert builds == [128, 256]
+    # l's floor escalates on its own, and r's reads u again
+    builds.clear()
+    assert (bounds.l.floor(3) + 1, bounds.r.floor(3)) == (8, 9)
+    assert builds == [128, 256, 128]
+
+
+def test_an_index_scaled_row_starts_where_its_scale_does():
+    row = index_scaled_profile(log_profile(2), 0)
+    assert row.min_index == 2
+    assert GrowthProfile.from_dict(row.to_dict()).min_index == 2
+    with pytest.raises(ProfileError, match=r"profile \(n\+0\)\*u\(n\) starts at n=2, got 1"):
+        row.floor(1)
+    # the range path checks l's index before it reads u
+    with pytest.raises(ProfileError, match=r"profile n\*u\(n\) starts at n=2, got 1"):
+        _scale_windows(log_profile(2)).digit_range(1)

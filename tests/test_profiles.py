@@ -513,14 +513,23 @@ def _count_floors(monkeypatch):
 
 def test_a_nested_question_reads_the_open_questions_rows(monkeypatch):
     floors = _count_floors(monkeypatch)
+    ranges = Counter()
+    original = BoundsProfile._scale_range
+
+    def counting(self, n):
+        ranges[n] += 1
+        return original(self, n)
+
+    monkeypatch.setattr(BoundsProfile, "_scale_range", counting)
     bounds = bounds_from_scale(builtin_profiles()["scale_exp_sqrt"])
     with profiles._question():
         rows = profiles._rows.get()
         counts = [bounds.branch_count(k) for k in range(1, 9)]
-        assert floors == Counter({(label, n): 1 for label in ("n*u(n)", "(n+1)*u(n)") for n in range(1, 9)})
-        # the count opens a question inside this one and reads its floors
+        # one range read per window row, and no floor of l or r
+        assert ranges == Counter(range(1, 9)) and not floors
+        # the count opens a question inside this one and reads its ranges
         assert count_constrained_words(8, bounds) == math.prod(counts)
-        assert set(floors.values()) == {1}
+        assert set(ranges.values()) == {1} and not floors
         assert profiles._rows.get() is rows
     assert profiles._rows.get() is None
 
