@@ -54,7 +54,6 @@ from .intervals import (
     gap_interval,
     gap_lower_bound,
     interval_length,
-    log_epsilon_n,
 )
 from .laws import (
     LIL_BAND_START,

@@ -194,9 +194,10 @@ def cmd_dim(args) -> int:
             notes["bounds"] = f"unavailable: {exc}"
     if bounds is not None:
         _require_verified_rows(spec, args.window, args.n_max + 2)
-        bits = args.precision_bits
-        # the three sequences are one question: each bound row is read once
-        with _question():
+    bits = args.precision_bits
+    # the document is one question: each bound or profile row is read once
+    with _question():
+        if bounds is not None:
             estimate = dimension_bound_sequences(bounds, args.n_max, bits)
             rows += _ratio_rows(estimate.lower_seq, "lower")
             rows += _ratio_rows(estimate.upper_seq, "upper")
@@ -210,20 +211,20 @@ def cmd_dim(args) -> int:
                 rows += _ratio_rows(gap_ratio_sequence(bounds, args.n_max, bits), "gap")
             except (ValueError, ProfileError, PrecisionError) as exc:
                 notes["gap_sequence"] = f"unavailable: {exc}"
-    elif spec.family == "E_phi" and not report.empty and report.status != "refused":
-        epsilon = 0.01
-        phi = spec.params["profile"]
-        try:
-            start = find_cover_start(phi, epsilon)
-            chains = window_cover_chains(phi, epsilon, start, args.n_max, args.precision_bits)
-        # an undecided cover start is reported, not resolved: the chains are
-        # left out and the document keeps its analytic value
-        except (ValueError, ProfileError, PrecisionError) as exc:
-            notes["cover_chains"] = f"unavailable: {exc}"
-        else:
-            rows += _ratio_rows(chains["chain1"], "cover_chain1")
-            rows += _ratio_rows(chains["chain2"], "cover_chain2")
-            notes["cover_start"] = start
+        elif spec.family == "E_phi" and not report.empty and report.status != "refused":
+            epsilon = 0.01
+            phi = spec.params["profile"]
+            try:
+                start = find_cover_start(phi, epsilon)
+                chains = window_cover_chains(phi, epsilon, start, args.n_max, bits)
+            # an undecided cover start is reported, not resolved: the chains are
+            # left out and the document keeps its analytic value
+            except (ValueError, ProfileError, PrecisionError) as exc:
+                notes["cover_chains"] = f"unavailable: {exc}"
+            else:
+                rows += _ratio_rows(chains["chain1"], "cover_chain1")
+                rows += _ratio_rows(chains["chain2"], "cover_chain2")
+                notes["cover_start"] = start
     summary = {
         "analytic": report.value,
         "status": report.status,

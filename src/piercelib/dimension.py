@@ -16,11 +16,12 @@ per call at the working precision.  The sequences and chains sum exactly: a
 call's columns become ints on one fixed-point scale (`_fixed`), prefix sums
 and level formulas run on those ints, and each printed float is the
 correctly rounded value of its exact sum or ratio (`_points`).  A `dim`
-document runs its lower/upper, box and gap sequences as one question
-(`profiles._question`): each row's logs of l and r, its digit range, its
-log Delta, and each row of a profile node that l and r share (u under n*u(n)
-and (n+1)*u(n)) is evaluated once per (row, context, precision) per
-document, and the rows are dropped when the document ends.
+document is one question (`profiles._question`), its lower/upper, box and
+gap sequences or its cover start and chains alike: each row's logs of l and
+r, its digit range, its log Delta, each phi row, and each row of a profile
+node that l and r share (u under n*u(n) and (n+1)*u(n)) is evaluated once
+per (row, context, precision) per document, and the rows are dropped when
+the document ends.
 
 `find_cover_start` proves its start instead of scanning to its limit where
 the profile allows it: for phi = c log n with c(1+eps) >= 1 the windows
@@ -231,13 +232,14 @@ def gap_ratio_sequence(
 def count_log_bounds(bounds: BoundsProfile, n: int) -> tuple[float, float, float]:
     """Log-space bracket for the level-n word count: the count lies within
     factor c^n of prod Delta_k for any c > Delta/(Delta - 1), Delta =
-    inf Delta_k; returns (log_lower, log_upper, c), c taken 0.01 above."""
-    deltas = [float(bounds.mp_delta(k)) for k in range(1, n + 1)]
-    d_inf = min(deltas)
-    if d_inf <= 1:
-        raise ValueError(f"window width {d_inf} <= 1 gives no usable constant")
-    c = d_inf / (d_inf - 1) + 0.01
-    log_prod = sum(math.log(d) for d in deltas)
+    inf Delta_k; returns (log_lower, log_upper, c), c taken 0.01 above.
+    It reads the log Delta column, so no window width is formed as a float."""
+    log_deltas = [float(bounds.log_delta(k)) for k in range(1, n + 1)]
+    least = min(log_deltas)
+    if not least > 0:
+        raise ValueError(f"window width {math.exp(least)} <= 1 gives no usable constant")
+    c = -1 / math.expm1(-least) + 0.01  # Delta/(Delta - 1) = 1/(1 - 1/Delta)
+    log_prod = sum(log_deltas)
     return log_prod - n * math.log(c), log_prod + n * math.log(c), c
 
 
@@ -265,19 +267,19 @@ def estimate_limits(
     with mpmath.workprec(precision_bits):
         if quantity == "gamma":
             phi = _column(profile.mp_value, n_hi, first=n_lo)
-            values = [(n, _to_float(phi[n] / mpmath.log(n))) for n in levels]
+            values = [(n, float(phi[n] / mpmath.log(n))) for n in levels]
         else:
             # xi and eta read the row after the window, theta does not
             row = profile.log_value if quantity == "eta" else profile.mp_value
             col = _column(row, n_hi + (quantity != "theta"), first=profile.min_index)
             sums = list(accumulate(col))
             if quantity == "xi":
-                values = [(n, _to_float(col[n + 1] / sums[n])) for n in levels]
+                values = [(n, float(col[n + 1] / sums[n])) for n in levels]
             elif quantity == "theta":
-                values = [(n, _to_float(n * col[n] / sums[n])) for n in levels]
+                values = [(n, float(n * col[n] / sums[n])) for n in levels]
             else:
                 values = [
-                    (n, _to_float((n * mpmath.log(n) + col[n + 1]) / sums[n]))
+                    (n, float((n * mpmath.log(n) + col[n + 1]) / sums[n]))
                     for n in levels
                     if sums[n] > 0
                 ]
@@ -286,13 +288,6 @@ def estimate_limits(
     floats = [v for _, v in values]
     summary = {"min": min(floats), "max": max(floats), "last": floats[-1]}
     return LimitEstimate(quantity=quantity, values=values, summary=summary)
-
-
-def _to_float(x) -> float:
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf
 
 
 def _stabilized(values: list[float]) -> float | None:

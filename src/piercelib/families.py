@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
+from ._precision import PrecisionError
 from .expansion import is_admissible
 from .laws import lil_stat, lln_stat
 from .profiles import (
@@ -136,8 +137,11 @@ class EnumerationCapError(ValueError):
 
 def count_constrained_words(n: int, bounds: BoundsProfile) -> int:
     """Exact number of admissible length-n words within the digit windows:
-    prod_k (floor(r_k) - floor(l_k)), valid whenever consecutive windows do
-    not overlap (r_k <= l_{k+1}).  The count is one question
+    prod_k (floor(r_k) - floor(l_k)).  The product counts strictly
+    increasing words only when each level's top digit is below the next
+    level's bottom digit, so the count checks that as it reads the ranges
+    and raises ValueError naming the two levels where non-empty windows
+    overlap; an empty window ends the count at 0.  The count is one question
     (`profiles._question`), so l and r share their nodes' enclosures row by
     row, and a count inside an open question reads that question's rows."""
     if n < 1:
@@ -145,21 +149,27 @@ def count_constrained_words(n: int, bounds: BoundsProfile) -> int:
     with _question():
         total = 1
         for k in range(1, n + 1):
-            total *= bounds.branch_count(k)
-            if total == 0:
+            lo, hi = bounds.digit_range(k)
+            if lo > hi:
                 return 0
+            if k > 1 and top >= lo:
+                raise ValueError(
+                    f"digit windows overlap between levels {k - 1} and {k}: top digit {top} >= bottom digit {lo}"
+                )
+            total *= hi - lo + 1
+            top = hi
         return total
 
 
 def enumerate_constrained_words(
     n: int, bounds: BoundsProfile, cap: int = 1_000_000
 ) -> list[tuple[int, ...]]:
-    """All words counted by count_constrained_words, in lexicographic order.
+    """All words counted by count_constrained_words, in lexicographic order:
+    the product of the levels' digit ranges, strictly increasing because
+    the count refuses overlapping windows.
 
-    Refuses when the count exceeds `cap`; raises if overlapping windows make
-    the product formula disagree with strict digit increase.  The call is
-    one question (`profiles._question`), so the count and the ranges read
-    the same rows.
+    Refuses when the count exceeds `cap`.  The call is one question
+    (`profiles._question`), so the count and the ranges read the same rows.
     """
     with _question():
         total = count_constrained_words(n, bounds)
@@ -169,15 +179,7 @@ def enumerate_constrained_words(
         for k in range(1, n + 1):
             lo, hi = bounds.digit_range(k)
             ranges.append(range(lo, hi + 1))
-        words = []
-        for tup in itertools.product(*ranges):
-            if any(b <= a for a, b in zip(tup, tup[1:])):
-                raise ValueError(
-                    "digit windows overlap between levels; product enumeration "
-                    "would break strict increase"
-                )
-            words.append(tup)
-        return words
+        return list(itertools.product(*ranges))
 
 
 # -- membership ---------------------------------------------------------------
@@ -195,10 +197,10 @@ def membership(spec: SetSpec, digits: tuple[int, ...], horizon: int) -> Membersh
     """Evaluate the family condition on the first `horizon` digits.
 
     Window families report exact satisfied/violated over the prefix, or
-    neither, with "undecided" in `detail`, when a comparison stays undecided
-    at the precision ceiling.  Limit families report the defining ratio at
-    the horizon; `violated` is set only when the family itself is provably
-    empty.
+    neither, with "undecided" in `detail`, when a comparison or a window
+    floor stays undecided at the precision ceiling.  Limit families report
+    the defining ratio at the horizon; `violated` is set only when the
+    family itself is provably empty.
     """
     if horizon < 1 or horizon > len(digits):
         raise ValueError(f"horizon {horizon} outside 1..{len(digits)}")
@@ -244,8 +246,11 @@ def _window_membership(spec: SetSpec, word: tuple[int, ...]) -> MembershipResult
     if fam in ("E_bounds", "E_star"):
         bounds = p["bounds"] if fam == "E_bounds" else _scale_windows(p["u"])
         for n, d in enumerate(word, start=1):
-            if not bounds.contains(n, d):
+            try:
                 lo, hi = bounds.digit_range(n)
+            except PrecisionError:
+                return MembershipResult(False, False, None, f"window floor at level {n} undecided")
+            if not lo <= d <= hi:
                 return MembershipResult(
                     False, True, None, f"d_{n} = {d} outside window {lo}..{hi}"
                 )

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-import mpmath
-
 from .expansion import _fold, bump_last, digit_product, evaluate, is_admissible
 from .profiles import BoundsProfile, _encode
 
@@ -163,39 +161,32 @@ def gap_interval(word: tuple[int, ...], bounds: BoundsProfile) -> IntervalExact:
     return IntervalExact(j_word.right, j_bump.left, left_open=True, right_open=True)
 
 
-def epsilon_n(bounds: BoundsProfile, n: int) -> Fraction | mpmath.mpf:
-    """Level-n gap lower bound (1/2) (prod_{k<=n} 1/r_k) Delta_{n+1} /
-    (r_n r_{n+1}).  Exact when every bound value is rational, else an mpf at
-    the caller's mpmath precision."""
+def epsilon_n(bounds: BoundsProfile, n: int) -> Fraction:
+    """Exact level-n gap lower bound (1/2) (prod_{k<=n} 1/r_k) Delta_{n+1} /
+    (r_n r_{n+1}).  Raises ValueError naming the first row it reads (r_1 ..
+    r_{n+1}, then l_{n+1}) that is not rational: a rounded value would
+    certify no lower bound.  `dimension.gap_ratio_sequence` sums the log of
+    this formula over fixed-point rows."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    rows = [bounds.r._ratio(k) for k in range(1, n + 2)]
-    l_next = bounds.l._ratio(n + 1)
-    if None not in rows and l_next is not None:
-        # the formula over integer pairs; r_{n+1}'s denominator cancels against delta's
-        (rn, rd), (sn, sd), (ln, ld) = rows[-2], rows[-1], l_next
-        num = (sn * ld - ln * sd) * prod(d for _, d in rows[:-1]) * rd
-        return Fraction(num, 2 * ld * prod(v for v, _ in rows[:-1]) * rn * sn)
-    return mpmath.exp(log_epsilon_n(bounds, n))
+    rows = [_exact_row(bounds.r, "r", k) for k in range(1, n + 2)]
+    # the formula over integer pairs; r_{n+1}'s denominator cancels against delta's
+    (rn, rd), (sn, sd), (ln, ld) = rows[-2], rows[-1], _exact_row(bounds.l, "l", n + 1)
+    num = (sn * ld - ln * sd) * prod(d for _, d in rows[:-1]) * rd
+    return Fraction(num, 2 * ld * prod(v for v, _ in rows[:-1]) * rn * sn)
 
 
-def log_epsilon_n(bounds: BoundsProfile, n: int) -> mpmath.mpf:
-    """log of epsilon_n, assembled from log terms so huge bounds do not
-    overflow."""
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    total = -mpmath.log(2)
-    for k in range(1, n + 1):
-        total -= bounds.r.log_value(k)
-    total -= bounds.r.log_value(n)
-    total -= bounds.r.log_value(n + 1)
-    total += bounds.log_delta(n + 1)
-    return total
+def _exact_row(profile, side: str, k: int) -> tuple[int, int]:
+    pair = profile._ratio(k)
+    if pair is None:
+        raise ValueError(f"bound row {side}({k}) is not rational, so the gap bound has no exact value")
+    return pair
 
 
-def gap_lower_bound(word: tuple[int, ...], bounds: BoundsProfile) -> Fraction | mpmath.mpf:
-    """epsilon at level len(word); every in-family gap at that level is at
-    least this long."""
+def gap_lower_bound(word: tuple[int, ...], bounds: BoundsProfile) -> Fraction:
+    """epsilon at level len(word), exact; every in-family gap at that level
+    is at least this long.  Raises ValueError on an irrational bound row, as
+    `epsilon_n` does."""
     if not word:
         raise ValueError("need a non-empty word")
     _check_in_family(word, bounds)

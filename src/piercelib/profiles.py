@@ -582,12 +582,6 @@ class BoundsProfile:
         lo, hi = self.digit_range(n)
         return lo <= d <= hi
 
-    def mp_delta(self, n: int) -> mpmath.mpf:
-        u = self._window_scale()
-        if u is not None:
-            return u.mp_value(n)
-        return self.r.mp_value(n) - self.l.mp_value(n)
-
     def log_delta(self, n: int) -> mpmath.mpf:
         """log(r(n) - l(n)), once per (row, `mpmath.mp.prec`) in a question."""
         return _recall(self, ("log_delta", mpmath.mp.prec, n), self._log_delta, n)
@@ -608,7 +602,7 @@ class BoundsProfile:
         u = self._window_scale()
         if u is not None:
             return u.log_value(n)
-        delta = self.mp_delta(n)
+        delta = self.r.mp_value(n) - self.l.mp_value(n)
         if delta <= 0:
             raise ProfileError(f"non-positive digit window at level {n}")
         return mpmath.log(delta)

@@ -31,7 +31,7 @@ from piercelib.dimension import (
     window_cover_chains,
 )
 from piercelib.families import SetSpec, emptiness_check
-from piercelib.intervals import family_basic_interval, log_epsilon_n
+from piercelib.intervals import epsilon_n, family_basic_interval
 from piercelib.profiles import (
     BoundsProfile,
     GrowthProfile,
@@ -149,11 +149,9 @@ def test_sequences_match_logs_of_exact_row_products(name):
             assert p.log_count == pytest.approx(_log(count), rel=1e-15), (kind, p.n)
             assert p.log_inv_diam == pytest.approx(_log(inv_diam), rel=1e-15), (kind, p.n)
     for p in sequences["gap"]:
-        with mpmath.workprec(128):
-            log_eps = log_epsilon_n(bounds, p.n + 1)
-        assert p.log_inv_diam == pytest.approx(
-            -float(mpmath.log(m[p.n + 1]) + log_eps), rel=1e-15
-        )
+        # the test's gap bound is the library's exact one
+        assert eps(p.n + 1) == epsilon_n(bounds, p.n + 1)
+        assert p.log_inv_diam == pytest.approx(-_log(m[p.n + 1] * epsilon_n(bounds, p.n + 1)), rel=1e-15)
 
 
 def _digest(points) -> str:
@@ -700,6 +698,17 @@ def test_count_log_bounds_brackets_exact_count():
         assert c == pytest.approx(2.01)
 
 
+def test_count_log_bounds_stay_finite_on_huge_windows():
+    # level 800 of these windows is near e^800, past the largest float
+    bounds = deviation_bounds(lil_profile(), Fraction(1, 2), k_limit=40, window=64)
+    lo, hi, c = count_log_bounds(bounds, 800)
+    assert math.isfinite(lo) and math.isfinite(hi)
+    with mpmath.workprec(128):
+        log_prod = float(sum(bounds.log_delta(k) for k in range(1, 801)))
+    assert (lo + hi) / 2 == pytest.approx(log_prod, rel=1e-12)
+    assert c == pytest.approx(2.01) and lo < log_prod < hi
+
+
 def test_limit_estimates_frozen():
     geo = builtin_profiles()["geometric3"]
     xi = estimate_limits(geo, "xi", (380, 400))
@@ -726,7 +735,7 @@ def _loop_limits(profile, quantity, window, precision_bits=128):
     with mpmath.workprec(precision_bits):
         if quantity == "gamma":
             for n in range(n_lo, n_hi + 1):
-                values.append((n, dimension._to_float(profile.mp_value(n) / mpmath.log(n))))
+                values.append((n, float(profile.mp_value(n) / mpmath.log(n))))
         elif quantity in ("xi", "theta"):
             total = mpmath.mpf(0)
             for k in range(profile.min_index, n_lo):
@@ -734,9 +743,9 @@ def _loop_limits(profile, quantity, window, precision_bits=128):
             for n in range(n_lo, n_hi + 1):
                 total += profile.mp_value(n)
                 if quantity == "xi":
-                    values.append((n, dimension._to_float(profile.mp_value(n + 1) / total)))
+                    values.append((n, float(profile.mp_value(n + 1) / total)))
                 else:
-                    values.append((n, dimension._to_float(n * profile.mp_value(n) / total)))
+                    values.append((n, float(n * profile.mp_value(n) / total)))
         else:
             total = mpmath.mpf(0)
             for k in range(profile.min_index, n_lo):
@@ -746,7 +755,7 @@ def _loop_limits(profile, quantity, window, precision_bits=128):
                 if total <= 0:
                     continue
                 num = n * mpmath.log(n) + profile.log_value(n + 1)
-                values.append((n, dimension._to_float(num / total)))
+                values.append((n, float(num / total)))
     if not values:
         raise ValueError("window produced no values")
     floats = [v for _, v in values]

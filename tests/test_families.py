@@ -1,5 +1,6 @@
 """Set specifications, constrained word counting, membership, emptiness."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -23,6 +24,7 @@ from piercelib.laws import child_seed, lil_stat, lln_stat, sample_digits
 from piercelib.profiles import (
     BoundsProfile,
     GrowthProfile,
+    _scale_windows,
     affine_profile,
     bounds_from_scale,
     builtin_profiles,
@@ -33,6 +35,7 @@ from piercelib.profiles import (
     linear_log_profile,
     log_profile,
     power_profile,
+    sqrt_profile,
     table_profile,
 )
 
@@ -112,7 +115,9 @@ def test_enumerated_words_respect_windows():
 
 
 def test_enumeration_cap():
-    wide = BoundsProfile(l=affine_profile(10), r=affine_profile(20), threshold=0)
+    # 10*3^n < d_n <= 20*3^n: wide windows that do not overlap
+    wide = BoundsProfile(l=exponential_profile(3, 10), r=exponential_profile(3, 20), threshold=0)
+    assert count_constrained_words(6, wide) == math.prod(10 * 3**k for k in range(1, 7))
     with pytest.raises(EnumerationCapError):
         enumerate_constrained_words(6, wide, cap=100)
 
@@ -151,11 +156,16 @@ def test_count_matches_enumeration_random_profiles(seed):
 
 
 @st.composite
-def _table_bounds(draw):
+def _table_bounds(draw, ordered=True):
+    """Table windows of up to 8 levels; `ordered` ones start each level at or
+    above the previous top, l_{k+1} >= r_k, so no two windows overlap."""
     n = draw(st.integers(1, 8))
     cell = st.fractions(min_value=0, max_value=40, max_denominator=3)
-    l = [draw(cell) for _ in range(n)]
-    r = [v + draw(st.fractions(min_value=0, max_value=6, max_denominator=3)) for v in l]
+    step = st.fractions(min_value=0, max_value=6, max_denominator=3)
+    l, r = [], []
+    for _ in range(n):
+        l.append(r[-1] + draw(step) if ordered and r else draw(cell))
+        r.append(l[-1] + draw(step))
     return BoundsProfile(l=table_profile(l), r=table_profile(r)), n
 
 
@@ -167,6 +177,41 @@ def test_count_is_the_plain_product_of_branch_counts(case):
     assert count_constrained_words(n, bounds) == math.prod(
         max(0, math.floor(r) - math.floor(l)) for l, r in rows
     )
+
+
+def _increasing_words(ranges):
+    """Number of strictly increasing positive words with d_k in ranges[k],
+    by dynamic programming over the last digit."""
+    ends = {0: 1}
+    for lo, hi in ranges:
+        ends = {d: sum(c for e, c in ends.items() if e < d) for d in range(lo, hi + 1)}
+    return sum(ends.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_table_bounds(ordered=False))
+def test_count_is_exact_or_refuses_overlapping_windows(case):
+    bounds, n = case
+    ranges = [bounds.digit_range(k) for k in range(1, n + 1)]
+    # an empty window ends the count, so only the windows before it are compared
+    opened = list(itertools.takewhile(lambda r: r[0] <= r[1], ranges))
+    if any(a[1] >= b[0] for a, b in zip(opened, opened[1:])):
+        with pytest.raises(ValueError, match="digit windows overlap between levels"):
+            count_constrained_words(n, bounds)
+    else:
+        assert count_constrained_words(n, bounds) == _increasing_words(ranges)
+
+
+def test_count_refuses_overlapping_linear_windows():
+    # n < d_n <= 3n: the plain product would be 48, 3 840 and 645 120
+    bounds = BoundsProfile(l=affine_profile(1), r=affine_profile(3), threshold=0)
+    for n, true_count in ((3, 30), (5, 728), (7, 21_318)):
+        ranges = [bounds.digit_range(k) for k in range(1, n + 1)]
+        assert _increasing_words(ranges) == true_count
+        with pytest.raises(ValueError, match="between levels 1 and 2: top digit 3 >= bottom digit 3"):
+            count_constrained_words(n, bounds)
+        with pytest.raises(ValueError, match="overlap"):
+            enumerate_constrained_words(n, bounds)
 
 
 def test_count_reads_each_floor_once_per_call(monkeypatch):
@@ -288,6 +333,39 @@ def test_membership_s_generic_undecided_tie():
     result = membership(spec, (1, 2), 2)
     assert not result.satisfied_so_far and not result.violated
     assert "undecided" in result.detail
+
+
+def test_membership_reports_an_undecided_window_floor():
+    # n u(n) = 9 * (7/3) * 3 = 63 exactly at n = 9, which no enclosure of
+    # sqrt(9) can floor
+    u = sqrt_profile(Fraction(7, 3))
+    word = (4, 8, 14, 20, 28, 36, 45, 54, 64)
+    for spec in (SetSpec("E_star", {"u": u}), SetSpec("E_bounds", {"bounds": _scale_windows(u)})):
+        assert membership(spec, word, 8).satisfied_so_far
+        result = membership(spec, word, 9)
+        assert (result.satisfied_so_far, result.violated, result.estimate) == (False, False, None)
+        assert result.detail == "window floor at level 9 undecided"
+
+
+def test_membership_growth_and_deviation_estimates():
+    word = (4, 8, 14, 20, 28, 36, 45, 54, 64)
+    log_d = math.log(64)
+    est = membership(SetSpec("E_phi", {"profile": log_profile(2)}), word, 9)
+    assert est.estimate == pytest.approx(log_d / (2 * math.log(9)), rel=1e-15)
+    assert (est.satisfied_so_far, est.violated, est.detail) == (True, False, "log d_n / phi(n) at n=9")
+    # a stated gamma below 1 proves the family empty
+    est = membership(SetSpec("E_phi", {"profile": log_profile(Fraction(1, 2))}), word, 9)
+    assert est.violated and not est.satisfied_so_far
+    assert est.detail == "log d_n / phi(n) at n=9; family empty: stated gamma = 0.5 < 1"
+    est = membership(SetSpec("C_psi_beta", {"psi": sqrt_profile(), "beta": 1}), word, 9)
+    assert est.estimate == pytest.approx((log_d - 9) / 3, rel=1e-15)
+    assert (est.satisfied_so_far, est.violated, est.detail) == (True, False, "(log d_n - n)/psi(n) at n=9")
+    est = membership(SetSpec("E_alpha_beta", {"alpha": 2, "beta": 1}), word, 9)
+    assert est.estimate == pytest.approx((log_d - 9) / 81, rel=1e-15)
+    assert not est.violated
+    empty = membership(SetSpec("E_alpha_beta", {"alpha": 2, "beta": -1}), word, 9)
+    assert empty.violated
+    assert empty.detail == "(log d_n - n)/n^alpha at n=9; family empty: alpha = 2 > 1 with beta < 0"
 
 
 def test_membership_limit_families():

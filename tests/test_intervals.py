@@ -18,9 +18,8 @@ from piercelib.intervals import (
     gap_interval,
     gap_lower_bound,
     interval_length,
-    log_epsilon_n,
 )
-from piercelib.profiles import affine_profile, BoundsProfile
+from piercelib.profiles import BoundsProfile, affine_profile, power_profile, sqrt_profile
 
 words = st.lists(
     st.integers(min_value=1, max_value=60), min_size=1, max_size=6, unique=True
@@ -141,12 +140,24 @@ def test_epsilon_sequence_even_scale():
     assert eps[0] > eps[1] > eps[2]
 
 
-def test_log_epsilon_matches_exact():
-    from math import exp
+def test_gap_bound_refuses_an_irrational_row():
+    # a rounded gap bound would certify nothing, so an irrational row raises
+    root_r = BoundsProfile(l=affine_profile(2), r=power_profile(Fraction(1, 2), 4))
+    with pytest.raises(ValueError, match=r"bound row r\(1\) is not rational"):
+        epsilon_n(root_r, 2)
+    with pytest.raises(ValueError, match=r"bound row r\(1\) is not rational"):
+        gap_lower_bound((3,), root_r)
+    root_l = BoundsProfile(l=sqrt_profile(), r=affine_profile(2, 2))
+    with pytest.raises(ValueError, match=r"bound row l\(3\) is not rational"):
+        epsilon_n(root_l, 2)
 
-    for n in (1, 2, 3, 5):
-        exact = float(epsilon_n(EVEN, n))
-        assert abs(exp(log_epsilon_n(EVEN, n)) - exact) < 1e-9 * exact
+
+def test_a_word_outside_the_windows_is_refused():
+    for call in (family_basic_interval, gap_interval, gap_lower_bound):
+        with pytest.raises(ValueError, match="digit 5 at level 1 outside window 3..4"):
+            call((5,), EVEN)
+        with pytest.raises(ValueError, match="digit 8 at level 2 outside window 5..6"):
+            call((3, 8), EVEN)
 
 
 # -- differential oracle -------------------------------------------------------

@@ -217,7 +217,6 @@ def test_scale_window_log_delta_is_the_log_of_the_window(kind):
     with mpmath.workprec(128):
         for n in LEVELS:
             width = bounds.r.mp_value(n) - bounds.l.mp_value(n)
-            assert bounds.mp_delta(n) == u.mp_value(n)
             # r - l in mpmath.mp rounds (n + 1) u and n u apart first
             assert _close(bounds.log_delta(n), mpmath.log(width), 110), (u.label, n)
 

@@ -785,8 +785,13 @@ def test_precision_error_caught_only_by_compare_helper_and_cli_main():
         for path in Path(piercelib.__file__).parent.glob("*.py")
         for func in _precision_handlers(path.read_text(encoding="utf-8"))
     )
-    # cmd_dim: the box and gap sequences and the E_phi cover chains
-    assert found == ["cli.cmd_dim"] * 3 + ["cli.main", "profiles.certified_compare"]
+    # cmd_dim: the box and gap sequences and the E_phi cover chains;
+    # _window_membership: an E_bounds/E_star window floor left undecided
+    assert found == ["cli.cmd_dim"] * 3 + [
+        "cli.main",
+        "families._window_membership",
+        "profiles.certified_compare",
+    ]
 
 
 def _unused_imports(source: str) -> list[str]:
