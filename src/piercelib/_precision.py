@@ -78,27 +78,18 @@ def _sign_of(val) -> int | None:
     return 0 if a == b else None
 
 
-def certified_floor(expr: Callable[[mpmath.ctx_iv.MPIntervalContext], object]) -> int:
-    """Floor of a real given as an interval expression.
+def certified_floor(expr: Callable[[mpmath.ctx_iv.MPIntervalContext], object], k: int = 1) -> int:
+    """Floor of k times a real given as an interval expression.
 
     `expr(iv)` must rebuild the value inside the supplied interval context.
-    Precision doubles until both endpoints share an integer part; values that
-    are exactly integers but only representable transcendentally cannot be
-    certified and raise PrecisionError.
+    k multiplies its endpoints exactly, so no enclosure of the product is
+    built; floor-then-round is monotone, so any enclosure of the product that
+    decides gives the same floor.  Precision doubles until both endpoints
+    share an integer part; values that are exactly integers but only
+    representable transcendentally cannot be certified and raise
+    PrecisionError.
     """
-    return _escalate(expr, _floor_of, "floor")
-
-
-def _scaled_floors(expr, factors: tuple[int, ...]) -> list[int]:
-    """Floors of k x, k in `factors`, from one escalation over x's enclosure
-    `expr(iv)`.  Floor-then-round is monotone, so each equals `certified_floor`
-    of the `mpmath.iv` product k x: any enclosure of k x that decides agrees."""
-
-    def decide(val):
-        floors = [_floor_of(val, k) for k in factors]
-        return None if None in floors else floors
-
-    return _escalate(expr, decide, "floor")
+    return _escalate(expr, lambda val: _floor_of(val, k), "floor")
 
 
 def certified_sign(expr: Callable[[mpmath.ctx_iv.MPIntervalContext], object]) -> int:

@@ -17,8 +17,8 @@ call's columns become ints on one fixed-point scale (`_fixed`), prefix sums
 and level formulas run on those ints, and each printed float is the
 correctly rounded value of its exact sum or ratio (`_points`).  A `dim`
 document is one question (`profiles._question`), its lower/upper, box and
-gap sequences or its cover start and chains alike: each row's logs of l and
-r, its digit range, its log Delta, each phi row, and each row of a profile
+gap sequences or its cover start and chains alike: each row's logs and
+floors of l and r, its log Delta, each phi row, and each row of a profile
 node that l and r share (u under n*u(n) and (n+1)*u(n)) is evaluated once
 per (row, context, precision) per document, and the rows are dropped when
 the document ends.
@@ -367,8 +367,9 @@ def analytic_dimension(spec: SetSpec, window: int = DEFAULT_WINDOW) -> AnalyticD
         return _dimension_scale_window(p["u"], window)
     if fam == "E_bounds":
         bounds: BoundsProfile = p["bounds"]
-        if bounds.scale is not None:
-            return _dimension_scale_window(bounds.scale, window)
+        u = bounds._window_scale()
+        if u is not None and bounds.l.params.get("offset", 0) == 0:  # E_star(u)'s windows
+            return _dimension_scale_window(u, window)
         if "dimension" in bounds.analytic:
             return AnalyticDimension(
                 bounds.analytic["dimension"],

@@ -135,51 +135,53 @@ class EnumerationCapError(ValueError):
     """Word count exceeds the enumeration cap."""
 
 
-def count_constrained_words(n: int, bounds: BoundsProfile) -> int:
-    """Exact number of admissible length-n words within the digit windows:
-    prod_k (floor(r_k) - floor(l_k)).  The product counts strictly
-    increasing words only when each level's top digit is below the next
-    level's bottom digit, so the count checks that as it reads the ranges
-    and raises ValueError naming the two levels where non-empty windows
-    overlap; an empty window ends the count at 0.  The count is one question
-    (`profiles._question`), so l and r share their nodes' enclosures row by
-    row, and a count inside an open question reads that question's rows."""
+def _level_ranges(n: int, bounds: BoundsProfile) -> list[range]:
+    """Digit ranges of levels 1..n, up to and including the first empty one,
+    range(lo, lo).  Their product counts strictly increasing words only when
+    each level's top digit is below the next level's bottom digit, so the
+    reader checks that and raises ValueError naming the two levels where
+    non-empty windows overlap.  A range's size is stop - start: `len`
+    overflows past 2^63.  The read is one question (`profiles._question`),
+    so l and r share their nodes' enclosures row by row, and a read inside
+    an open question reads that question's rows."""
     if n < 1:
         raise ValueError("need n >= 1")
+    ranges: list[range] = []
     with _question():
-        total = 1
         for k in range(1, n + 1):
             lo, hi = bounds.digit_range(k)
             if lo > hi:
-                return 0
-            if k > 1 and top >= lo:
+                ranges.append(range(lo, lo))
+                break
+            if ranges and ranges[-1].stop > lo:
                 raise ValueError(
-                    f"digit windows overlap between levels {k - 1} and {k}: top digit {top} >= bottom digit {lo}"
+                    f"digit windows overlap between levels {k - 1} and {k}: top digit {ranges[-1].stop - 1} >= bottom digit {lo}"
                 )
-            total *= hi - lo + 1
-            top = hi
-        return total
+            ranges.append(range(lo, hi + 1))
+    return ranges
+
+
+def count_constrained_words(n: int, bounds: BoundsProfile) -> int:
+    """Exact number of admissible length-n words within the digit windows:
+    prod_k (floor(r_k) - floor(l_k)), 0 from the first empty window on, and
+    a ValueError where non-empty windows overlap (`_level_ranges`)."""
+    return math.prod(r.stop - r.start for r in _level_ranges(n, bounds))
 
 
 def enumerate_constrained_words(
     n: int, bounds: BoundsProfile, cap: int = 1_000_000
 ) -> list[tuple[int, ...]]:
     """All words counted by count_constrained_words, in lexicographic order:
-    the product of the levels' digit ranges, strictly increasing because
-    the count refuses overlapping windows.
+    the product of the levels' digit ranges, strictly increasing because the
+    ranges refuse overlapping windows, and [] on a closed window.
 
-    Refuses when the count exceeds `cap`.  The call is one question
-    (`profiles._question`), so the count and the ranges read the same rows.
+    Refuses when the count exceeds `cap`.
     """
-    with _question():
-        total = count_constrained_words(n, bounds)
-        if total > cap:
-            raise EnumerationCapError(f"{total} words exceed cap {cap}")
-        ranges = []
-        for k in range(1, n + 1):
-            lo, hi = bounds.digit_range(k)
-            ranges.append(range(lo, hi + 1))
-        return list(itertools.product(*ranges))
+    ranges = _level_ranges(n, bounds)
+    total = math.prod(r.stop - r.start for r in ranges)
+    if total > cap:
+        raise EnumerationCapError(f"{total} words exceed cap {cap}")
+    return list(itertools.product(*ranges))
 
 
 # -- membership ---------------------------------------------------------------

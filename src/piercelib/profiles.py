@@ -27,7 +27,7 @@ from typing import Any
 
 import mpmath
 
-from ._precision import PrecisionError, _scaled_floors, certified_floor, certified_sign
+from ._precision import PrecisionError, certified_floor, certified_sign
 
 DEFAULT_WINDOW = 10_000
 
@@ -51,7 +51,7 @@ _KINDS = (
 def _pair(v: Any) -> tuple[int, int] | None:
     """(numerator, denominator) of a parameter when it is exactly rational."""
     if isinstance(v, (Fraction, int)):
-        return v.numerator, v.denominator
+        return v.as_integer_ratio()
     return None
 
 
@@ -338,6 +338,11 @@ class GrowthProfile:
         pair = self._ratio(n)
         if pair is not None:
             return pair[0] // pair[1]
+        if self.kind == "index_scaled":
+            # (n + offset) times u's enclosure, exactly: no enclosure of this
+            # row is built, so inside a question l and r share u's enclosures
+            u = self.params["u"]
+            return certified_floor(lambda iv: u.iv_value(n, iv), n + self.params.get("offset", 0))
         return certified_floor(lambda iv: self.iv_value(n, iv))
 
     def _branch(self, n: int) -> "GrowthProfile":
@@ -554,25 +559,10 @@ class BoundsProfile:
     threshold: int = 0
     label: str = ""
     analytic: dict[str, float] = field(default_factory=dict)
-    scale: GrowthProfile | None = None
 
     def digit_range(self, n: int) -> tuple[int, int]:
-        """Inclusive integer range of admissible digits at level n; a scale
-        window's rows with n + o > 0 read u once (`_scale_range`)."""
-        if self._window_scale() is not None and n + self.l.params.get("offset", 0) > 0:
-            return _recall(self, ("range", mpmath.mp.prec, n), self._scale_range, n)
+        """Inclusive integer range of admissible digits at level n."""
         return self.l.floor(n) + 1, self.r.floor(n)
-
-    def _scale_range(self, n: int) -> tuple[int, int]:
-        """(floor(m u(n)) + 1, floor((m + 1) u(n))), m = n + o, from an exact
-        u row or one escalation over u's enclosure: the floors of l and r."""
-        self.l._check_index(n)
-        u, m = self.l.params["u"], n + self.l.params.get("offset", 0)
-        pair = u._ratio(n)
-        if pair is not None:
-            return m * pair[0] // pair[1] + 1, (m + 1) * pair[0] // pair[1]
-        lo, hi = _scaled_floors(lambda iv: u.iv_value(n, iv), (m, m + 1))
-        return lo + 1, hi
 
     def branch_count(self, n: int) -> int:
         lo, hi = self.digit_range(n)
@@ -588,7 +578,8 @@ class BoundsProfile:
 
     def _window_scale(self) -> GrowthProfile | None:
         """u when l and r are (n + o) u(n) and (n + o + 1) u(n) over one u, as
-        every `bounds_from_scale` window is: then r - l = u exactly.  Else None."""
+        every `bounds_from_scale` window is: then r - l = u exactly.  Else None.
+        The one test of a scale window: no bounds profile states its scale."""
         l, r = self.l, self.r
         if (
             l.kind == r.kind == "index_scaled"
@@ -609,21 +600,17 @@ class BoundsProfile:
 
     def to_dict(self) -> dict[str, Any]:
         out = {"l": self.l.to_dict(), "r": self.r.to_dict(), "threshold": self.threshold}
-        if self.scale is not None:
-            out["scale"] = self.scale.to_dict()
         if self.label:
             out["label"] = self.label
         return out
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "BoundsProfile":
-        scale = data.get("scale")
         return BoundsProfile(
             l=GrowthProfile.from_dict(data["l"]),
             r=GrowthProfile.from_dict(data["r"]),
             threshold=int(data.get("threshold", 0)),
             label=data.get("label", ""),
-            scale=GrowthProfile.from_dict(scale) if scale else None,
         )
 
 
@@ -754,7 +741,6 @@ def _scale_windows(u: GrowthProfile) -> BoundsProfile:
         l=index_scaled_profile(u, 0, label="n*u(n)"),
         r=index_scaled_profile(u, 1, label="(n+1)*u(n)"),
         label=f"scale[{u.label}]",
-        scale=u,
     )
 
 

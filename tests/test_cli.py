@@ -11,7 +11,7 @@ import pytest
 from piercelib.cli import main
 from piercelib.dimension import box_ratio_sequence, dimension_bound_sequences, gap_ratio_sequence
 from piercelib.families import SetSpec
-from piercelib.profiles import bounds_from_scale
+from piercelib.profiles import bounds_from_scale, builtin_profiles
 
 
 def run_json(capsys, argv):
@@ -342,15 +342,14 @@ DOCUMENTS = {
     "geometric3": ({"u": {"kind": "builtin", "name": "scale_geometric3"}}, 40),
     # floors and logs on the mpmath.iv / mpmath.mp paths
     "exp_sqrt": ({"u": {"kind": "exp_of", "inner": {"kind": "sqrt", "coeff": "9/8"}}}, 60),
-    # the rows 2n < d_n <= 2(n+1) of the scale u = 2, with level 3 narrowed
-    # to one digit choice: gap fails there, box does not; the stated scale
-    # gives the document an analytic value, so it exits 0
+    # the rows 2n < d_n <= 2(n+1) with level 3 narrowed to one digit choice:
+    # gap fails there, box does not; table windows are no scale windows, so
+    # the analytic value is refused and the document exits 3 with its rows
     "one_choice_at_3": (
         {
             "bounds": {
                 "l": _table([2, 4, 6, 8, 10, 12, 14, 16, 18, 20]),
                 "r": _table([4, 6, 7, 10, 12, 14, 16, 18, 20, 22]),
-                "scale": {"kind": "power", "a": 0, "coeff": 2, "analytic": {"eta": 0}},
             }
         },
         8,
@@ -364,7 +363,7 @@ def test_dim_document_matches_the_unshared_sequences(capsys, name):
     family = "E_bounds" if "bounds" in params else "E_star"
     spec = {"family": family, "params": params}
     code, doc = run_json(capsys, ["dim", json.dumps(spec), "--n-max", str(n_max)])
-    assert code == 0
+    assert code == (3 if family == "E_bounds" else 0)
     set_spec = SetSpec.from_dict(spec)
     bounds = set_spec.params.get("bounds") or bounds_from_scale(set_spec.params["u"])
     rows, notes = _unshared_document(bounds, n_max)
@@ -377,12 +376,46 @@ def test_dim_gap_error_leaves_the_other_rows(capsys):
     params, n_max = DOCUMENTS["one_choice_at_3"]
     spec = json.dumps({"family": "E_bounds", "params": params})
     code, doc = run_json(capsys, ["dim", spec, "--n-max", str(n_max)])
-    assert code == 0
+    assert code == 3 and doc["summary"]["status"] == "refused"
     assert doc["summary"]["gap_sequence"] == "unavailable: fewer than 2 digit choices at level 3"
     assert "box_sequence" not in doc["summary"]
     assert {row["bound_kind"] for row in doc["data"]} == {"lower", "upper", "box"}
     # the same document again, in the same process, reads the same rows afresh
     assert run_json(capsys, ["dim", spec, "--n-max", str(n_max)]) == (code, doc)
+
+
+def test_dim_reads_no_stated_scale(capsys):
+    # (10n, 30n] are no scale windows; a "scale" key in the spec is ignored,
+    # so the analytic value is refused and the document exits 3
+    bounds = {
+        "l": {"kind": "affine", "a": 10},
+        "r": {"kind": "affine", "a": 30},
+        "threshold": 0,
+        "scale": {"kind": "builtin", "name": "scale_geometric3"},
+    }
+    spec = json.dumps({"family": "E_bounds", "params": {"bounds": bounds}})
+    code, doc = run_json(capsys, ["dim", spec, "--n-max", "6"])
+    assert code == 3
+    assert doc["summary"]["status"] == "refused" and doc["summary"]["analytic"] is None
+
+
+@pytest.mark.parametrize("name", ["scale_geometric3", "scale_exp_sqrt"])
+def test_dim_of_scale_windows_is_the_e_star_document(capsys, name):
+    # E_bounds over bounds_from_scale(u), written and read back, derives u
+    # from its l and r: E_star(u)'s analytic value and rows
+    u = builtin_profiles()[name]
+    docs = []
+    for family, params in (
+        ("E_star", {"u": {"kind": "builtin", "name": name}}),
+        ("E_bounds", {"bounds": bounds_from_scale(u).to_dict()}),
+    ):
+        spec = json.dumps({"family": family, "params": params})
+        docs.append(run_json(capsys, ["dim", spec, "--n-max", "30"]))
+    (star_code, star), (code, doc) = docs
+    assert code == star_code == 0
+    for key in ("analytic", "status", "detail"):
+        assert doc["summary"][key] == star["summary"][key]
+    assert doc["data"] == star["data"] and len(doc["data"]) == 4 * 30
 
 
 def test_dim_undecided_cover_start_keeps_the_analytic_value(capsys):
@@ -404,20 +437,18 @@ def test_dim_undecided_bound_floor_keeps_the_lower_and_upper_rows(capsys):
     # l(n) = exp(n log 2) = 2^n exactly, so the box and gap sequences, which
     # floor l, meet a floor that stays undecided at the precision ceiling;
     # each reports that, and the lower and upper rows stay.  The exit code is
-    # the analytic one: 3 (refused) for generic windows, 0 with a stated scale.
+    # the analytic one: 3 (refused) for generic windows.
     bounds = {
         "l": {"kind": "exp_of", "inner": {"kind": "linear_log", "a": 2}},
         "r": {"kind": "exponential", "a": 2, "coeff": 2},
         "threshold": 0,
     }
-    scale = {"kind": "exponential", "a": 2, "analytic": {"eta": 0}}
-    for params, exit_code in [(bounds, 3), ({**bounds, "scale": scale}, 0)]:
-        spec = json.dumps({"family": "E_bounds", "params": {"bounds": params}})
-        code, doc = run_json(capsys, ["dim", spec, "--n-max", "10"])
-        assert code == exit_code
-        for kind in ("box", "gap"):
-            assert doc["summary"][f"{kind}_sequence"] == "unavailable: floor undecided at 65536 bits"
-        assert [row["bound_kind"] for row in doc["data"]] == ["lower"] * 10 + ["upper"] * 10
+    spec = json.dumps({"family": "E_bounds", "params": {"bounds": bounds}})
+    code, doc = run_json(capsys, ["dim", spec, "--n-max", "10"])
+    assert code == 3
+    for kind in ("box", "gap"):
+        assert doc["summary"][f"{kind}_sequence"] == "unavailable: floor undecided at 65536 bits"
+    assert [row["bound_kind"] for row in doc["data"]] == ["lower"] * 10 + ["upper"] * 10
 
 
 def _reference_checks():
@@ -432,17 +463,12 @@ def _reference_checks():
 
 
 def test_dim_documents_match_the_benchmark_reference():
-    # one reference slot: its --n-max 60 documents and its exp-sqrt E_star
-    # document at --n-max 1000, whose scale has the non-integer coefficient 65/64
+    # every document of the seven reference slots: E_star over geometric and
+    # exp-sqrt scales, F_alpha and E_phi, at --n-max 60 and 1000
     check_document, dim_argv, load_reference = _reference_checks()
-    docs = load_reference()["slots"][1]["docs"]
-    chosen = [
-        doc
-        for doc in docs
-        if doc["n_max"] == 60 or (doc["n_max"] == 1000 and doc["spec"]["family"] == "E_star")
-    ]
-    assert len(chosen) == 6
-    for doc in chosen:
+    docs = [doc for slot in load_reference()["slots"] for doc in slot["docs"]]
+    assert len(docs) == 56
+    for doc in docs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(dim_argv(doc))

@@ -42,6 +42,7 @@ from piercelib.profiles import (
     deviation_profile,
     exp_of_profile,
     exponential_profile,
+    index_scaled_profile,
     lil_profile,
     linear_log_profile,
     log_profile,
@@ -507,14 +508,13 @@ def test_each_bound_row_is_evaluated_once(monkeypatch, sequence, expected):
 
 def _record_computations(monkeypatch, owners):
     """Count the uncached computations per (name, row) of the named owners:
-    the `_eval` and `_log` walks in mpmath.mp, the floor computation, the
-    scale window's digit range and the log-Delta computation."""
+    the `_eval` and `_log` walks in mpmath.mp, the floor computation and the
+    log-Delta computation."""
     calls = Counter()
     for cls, method in (
         (GrowthProfile, "_eval"),
         (GrowthProfile, "_log"),
         (GrowthProfile, "_floor"),
-        (BoundsProfile, "_scale_range"),
         (BoundsProfile, "_log_delta"),
     ):
         def wrapper(self, *args, _method=method, _original=getattr(cls, method)):
@@ -549,10 +549,10 @@ def test_each_bound_row_is_evaluated_once_per_dim_document(monkeypatch, capsys):
         "lower", "upper", "box", "gap",
     }
     # log Delta is u's log (r - l = u), so no mpmath.mp value of l or r is
-    # formed; each window row's digit range is read once, with no floor of l or r
-    expected = _once("bounds._log_delta", range(1, 63)) + _once("bounds._scale_range", range(1, 62))
+    # formed; each window row's floors of l and r are computed once
+    expected = _once("bounds._log_delta", range(1, 63))
     for name in ("l", "r"):
-        expected += _once(f"{name}._log", range(1, 63))
+        expected += _once(f"{name}._log", range(1, 63)) + _once(f"{name}._floor", range(1, 62))
     assert calls == expected
 
 
@@ -600,11 +600,11 @@ def test_a_dim_document_evaluates_shared_rows_once(monkeypatch, capsys):
     assert {n for n, in_iv, _ in walks if in_iv} == set(range(1, 62))
     assert set(walks.values()) == {1}
     assert deltas == Counter(range(1, 63))
-    # the digit ranges read u's enclosure: the question stores no l or r
+    # the floors of l and r read u's enclosure: the question stores no l or r
     # enclosure, only u's
     bounds = read["bounds"]
     iv_owners = {slot[0] for slot in read["rows"] if isinstance(slot, tuple) and mpmath.iv in slot}
-    assert id(bounds.scale) in iv_owners
+    assert id(bounds._window_scale()) in iv_owners
     assert not iv_owners & {id(bounds.l), id(bounds.r)}
 
 
@@ -849,6 +849,18 @@ def test_analytic_dimension_scale_windows():
         spec = SetSpec("E_star", {"u": builtin_profiles()[name]})
         report = analytic_dimension(spec, window=400)
         assert report.value == pytest.approx(1.0, abs=1e-6)
+
+
+def test_e_bounds_takes_the_e_star_formula_only_for_e_star_windows():
+    # the windows (n + o) u(n) < d_n <= (n + o + 1) u(n) are E_star(u)'s only
+    # at o = 0; at o = 1 they are scale windows with no formula
+    u = builtin_profiles()["scale_geometric3"]
+    star = analytic_dimension(SetSpec("E_bounds", {"bounds": bounds_from_scale(u)}))
+    assert (star.value, star.status) == (1.0, "exact")
+    shifted = BoundsProfile(index_scaled_profile(u, 1), index_scaled_profile(u, 2))
+    assert shifted._window_scale() is u
+    report = analytic_dimension(SetSpec("E_bounds", {"bounds": shifted}))
+    assert (report.value, report.status) == (None, "refused")
 
 
 def test_analytic_dimension_window_certified_square():

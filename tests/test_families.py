@@ -214,6 +214,22 @@ def test_count_refuses_overlapping_linear_windows():
             enumerate_constrained_words(n, bounds)
 
 
+def test_a_closed_window_ends_the_count_and_the_enumeration():
+    # level 2's window (5, 5] is empty, so neither call reads level 6 of the
+    # 5-row tables
+    bounds = BoundsProfile(l=table_profile([1, 5, 9, 20, 30]), r=table_profile([3, 5, 19, 25, 40]))
+    assert count_constrained_words(7, bounds) == 0
+    assert enumerate_constrained_words(7, bounds) == []
+
+
+def test_windows_wider_than_two_to_the_63_are_counted():
+    # 10*2^(64n) < d_n <= 20*2^(64n): each range is too long for len()
+    wide = BoundsProfile(l=exponential_profile(2**64, 10), r=exponential_profile(2**64, 20))
+    assert count_constrained_words(2, wide) == 10 * 2**64 * 10 * 2**128
+    with pytest.raises(EnumerationCapError):
+        enumerate_constrained_words(2, wide)
+
+
 def test_count_reads_each_floor_once_per_call(monkeypatch):
     bounds = BoundsProfile(l=table_profile([1, 3, 9, 20]), r=table_profile([2, 8, 19, 41]))
     reads = Counter()

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from piercelib import profiles
+from piercelib._precision import certified_floor
 from piercelib.profiles import (
     _KINDS,
     BoundsProfile,
@@ -316,6 +317,46 @@ def test_a_scale_window_range_is_the_floors_of_l_and_r(u, offset, n, prec):
         assert bounds.digit_range(n) == (bounds.l.floor(n) + 1, bounds.r.floor(n))
 
 
+# exact and transcendental scales for index_scaled floors; no row here is an
+# exact algebraic tie, which would cost two escalations to the ceiling
+FLOOR_SCALES = RANGE_SCALES[:3] + (
+    lil_profile(),
+    log_profile(2),
+    linear_log_profile(3),
+    exp_of_profile(sqrt_profile()),
+    exp_of_profile(table_profile(range(30, 90))),
+)
+
+
+@pytest.mark.parametrize("prec", [53, 128])
+def test_an_index_scaled_floor_is_the_floor_of_its_enclosure(monkeypatch, prec):
+    # the old floor, certified_floor of the row's own enclosure, is the oracle
+    # of the escalation over u's enclosure; exact rows floor their exact value
+    walks, original = Counter(), GrowthProfile._eval
+
+    def counting(self, ctx, n):
+        walks[self.kind] += 1
+        return original(self, ctx, n)
+
+    # n + offset <= 0 on the first rows of the negative offsets
+    cases = [
+        (index_scaled_profile(u, offset), n)
+        for u in FLOOR_SCALES
+        for offset in range(-4, 4)
+        for n in [*range(u.min_index, 13), 31, 60]
+    ]
+    with mpmath.workprec(prec):
+        monkeypatch.setattr(GrowthProfile, "_eval", counting)
+        floors = [row.floor(n) for row, n in cases]
+        monkeypatch.undo()
+        # no floor built an enclosure of an index_scaled row
+        assert walks["index_scaled"] == 0 and walks["exp_of"] > 0
+        for (row, n), got in zip(cases, floors):
+            exact = row.value(n)
+            want = certified_floor(lambda iv: row.iv_value(n, iv)) if exact is None else math.floor(exact)
+            assert got == want, (row.params["u"].label, row.params["offset"], n)
+
+
 def test_an_undecided_scale_row_escalates_once_for_both_floors(monkeypatch):
     # 3 u(3) = 7 + 3 * 2^-150: the 128-bit enclosure straddles 7, the 256-bit
     # one decides both floor(3 u) = 7 and floor(4 u) = 9
@@ -332,11 +373,13 @@ def test_an_undecided_scale_row_escalates_once_for_both_floors(monkeypatch):
 
     monkeypatch.setattr(GrowthProfile, "_eval", scripted)
     bounds = _scale_windows(u)
-    assert bounds.digit_range(3) == (8, 9)
+    # inside a question, r's floor reads the enclosures that l's floor stored
+    with profiles._question():
+        assert bounds.digit_range(3) == (8, 9)
     assert builds == [128, 256]
-    # l's floor escalates on its own, and r's reads u again
+    # outside one, r's floor reads u again
     builds.clear()
-    assert (bounds.l.floor(3) + 1, bounds.r.floor(3)) == (8, 9)
+    assert bounds.digit_range(3) == (8, 9)
     assert builds == [128, 256, 128]
 
 

@@ -238,7 +238,7 @@ def test_bounds_from_scale_example():
     bounds = bounds_from_scale(u, window=64)
     assert bounds.digit_range(2) == (37, 54)
     assert bounds.threshold == 0
-    assert bounds.scale is u
+    assert bounds._window_scale() is u
 
 
 def test_bounds_from_scale_rejects_small_scale():
@@ -513,23 +513,16 @@ def _count_floors(monkeypatch):
 
 def test_a_nested_question_reads_the_open_questions_rows(monkeypatch):
     floors = _count_floors(monkeypatch)
-    ranges = Counter()
-    original = BoundsProfile._scale_range
-
-    def counting(self, n):
-        ranges[n] += 1
-        return original(self, n)
-
-    monkeypatch.setattr(BoundsProfile, "_scale_range", counting)
     bounds = bounds_from_scale(builtin_profiles()["scale_exp_sqrt"])
+    once = Counter((label, k) for label in ("n*u(n)", "(n+1)*u(n)") for k in range(1, 9))
     with profiles._question():
         rows = profiles._rows.get()
         counts = [bounds.branch_count(k) for k in range(1, 9)]
-        # one range read per window row, and no floor of l or r
-        assert ranges == Counter(range(1, 9)) and not floors
-        # the count opens a question inside this one and reads its ranges
+        # one floor of l and one of r per window row
+        assert floors == once
+        # the count opens a question inside this one and reads its floors
         assert count_constrained_words(8, bounds) == math.prod(counts)
-        assert set(ranges.values()) == {1} and not floors
+        assert floors == once
         assert profiles._rows.get() is rows
     assert profiles._rows.get() is None
 
