@@ -12,16 +12,16 @@ Parameter-region families take their empty regions from
 The ratio sequences (lower, upper, box, gap), the two cover chains and the
 windowed limit quantities are closed formulas over columns of rows (log r_k,
 log l_k, log Delta_k, log m_k, phi(k) or log u_k), each row evaluated once
-per call at the working precision.  The sequences and chains sum exactly: a
-call's columns become ints on one fixed-point scale (`_fixed`), prefix sums
-and level formulas run on those ints, and each printed float is the
-correctly rounded value of its exact sum or ratio (`_points`).  A `dim`
-document is one question (`profiles._question`), its lower/upper, box and
-gap sequences or its cover start and chains alike: each row's logs and
-floors of l and r, its log Delta, each phi row, and each row of a profile
-node that l and r share (u under n*u(n) and (n+1)*u(n)) is evaluated once
-per (row, context, precision) per document, and the rows are dropped when
-the document ends.
+per call at the working precision as the lower end of the enclosure that
+the floors read.  The sequences and chains sum exactly: a call's columns
+become ints on one fixed-point scale (`_fixed`), prefix sums and level
+formulas run on those ints, and each printed float is the correctly rounded
+value of its exact sum or ratio (`_points`).  A `dim` document is one
+question (`profiles._question`), its lower/upper, box and gap sequences or
+its cover start and chains alike: each row's logs and floors of l and r, its
+log Delta, each phi row and log k, and each row of a profile node that l and
+r share (u under n*u(n) and (n+1)*u(n)) is evaluated once per (row,
+precision) per document, and the rows are dropped when the document ends.
 
 `find_cover_start` proves its start instead of scanning to its limit where
 the profile allows it: for phi = c log n with c(1+eps) >= 1 the windows
@@ -44,6 +44,7 @@ from .profiles import (
     DEFAULT_WINDOW,
     BoundsProfile,
     GrowthProfile,
+    _log_int,
     check_deviation_scale,
 )
 
@@ -82,6 +83,11 @@ def _column(f, last: int, first: int = 1) -> list:
     return [mpmath.mpf(0)] * first + [f(k) for k in range(first, last + 1)]
 
 
+def _log_of(m: int) -> mpmath.mpf:
+    """log m, m >= 1 an int, as a row: its shared enclosure's lower end."""
+    return mpmath.mp.make_mpf(_log_int(m, mpmath.mp.prec)[0])
+
+
 def _log_counts(bounds: BoundsProfile, last: int, least: int, message: str) -> list:
     """Column of log m_k over the branch counts m_k, each at least `least`."""
 
@@ -89,7 +95,7 @@ def _log_counts(bounds: BoundsProfile, last: int, least: int, message: str) -> l
         m = bounds.branch_count(k)
         if m < least:
             raise ValueError(message.format(k))
-        return mpmath.log(m)
+        return _log_of(m)
 
     return _column(log_count, last)
 
@@ -168,7 +174,7 @@ def box_ratio_sequence(
         log_delta = _column(bounds.log_delta, n_max + 1, first=2)
         for n in range(bounds.threshold + 1, min(n_max, 4) + 1):
             _assert_diameter_bound(bounds, n, enum_cap)
-        s, (log_m, log_l, log_r, log_delta, (log_two,)) = _fixed(log_m, log_l, log_r, log_delta, [mpmath.log(2)])
+        s, (log_m, log_l, log_r, log_delta, (log_two,)) = _fixed(log_m, log_l, log_r, log_delta, [_log_of(2)])
     sum_m, sum_l = list(accumulate(log_m)), list(accumulate(log_l))
     levels = range(bounds.threshold + 1, n_max + 1)
     log_inv = {n: -log_two + sum_l[n + 1] + log_r[n + 1] - log_delta[n + 1] for n in levels}
@@ -216,7 +222,7 @@ def gap_ratio_sequence(
         log_m = _log_counts(bounds, n_max + 1, 2, "fewer than 2 digit choices at level {}")
         log_r = _column(bounds.r.log_value, n_max + 2)
         log_delta = _column(bounds.log_delta, n_max + 2, first=3)
-        s, (log_m, log_r, log_delta, (log_two,)) = _fixed(log_m, log_r, log_delta, [mpmath.log(2)])
+        s, (log_m, log_r, log_delta, (log_two,)) = _fixed(log_m, log_r, log_delta, [_log_of(2)])
     sum_m, sum_r = list(accumulate(log_m)), list(accumulate(log_r))
     levels = range(k0 + 1, n_max + 1)
     log_eps = {
@@ -267,7 +273,7 @@ def estimate_limits(
     with mpmath.workprec(precision_bits):
         if quantity == "gamma":
             phi = _column(profile.mp_value, n_hi, first=n_lo)
-            values = [(n, float(phi[n] / mpmath.log(n))) for n in levels]
+            values = [(n, float(phi[n] / _log_of(n))) for n in levels]
         else:
             # xi and eta read the row after the window, theta does not
             row = profile.log_value if quantity == "eta" else profile.mp_value
@@ -279,7 +285,7 @@ def estimate_limits(
                 values = [(n, float(n * col[n] / sums[n])) for n in levels]
             else:
                 values = [
-                    (n, float((n * mpmath.log(n) + col[n + 1]) / sums[n]))
+                    (n, float((n * _log_of(n) + col[n + 1]) / sums[n]))
                     for n in levels
                     if sums[n] > 0
                 ]
@@ -509,7 +515,7 @@ def _cover_rows(phi: GrowthProfile, epsilon: float, m: int, last: int):
       num2(n) = n (1+eps) phi(n) + (n-1) - n log n
     """
     values = _column(phi.mp_value, last, first=m)
-    s, (values, logs, (eps,)) = _fixed(values, _column(mpmath.log, last, first=m), [mpmath.mpf(epsilon)])
+    s, (values, logs, (eps,)) = _fixed(values, _column(_log_of, last, first=m), [mpmath.mpf(epsilon)])
     grow = (1 << s) + eps
     terms = [grow * v for v in values]
     terms[m] *= m

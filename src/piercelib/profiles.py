@@ -2,12 +2,13 @@
 
 A growth profile is an immutable description of a positive sequence, with an
 exact-rational evaluation path where the formula allows one.  Everywhere else
-one evaluator, with an overflow-safe log beside it, walks the profile kinds
-over the context it is given: `mpmath.mp` for float values and logs,
-`mpmath.iv` for interval enclosures and the certified floors and signs built
-on them.  A bounds profile pairs two growth profiles (l, r) and constrains
-digits by l(n) < d_n <= r(n); `find_threshold` locates the splice index beyond
-which the three admissibility conditions
+one walk over the profile kinds, with an overflow-safe log beside it, builds
+each row as one directed-rounding enclosure at an explicit precision: a raw
+(lo, hi) pair of mpf tuples from the `mpmath.libmp` interval operations.  The
+float columns read its lower end, the certified floors and signs all of it.
+A bounds profile pairs two growth profiles (l, r) and constrains digits by
+l(n) < d_n <= r(n); `find_threshold` locates the splice index beyond which
+the three admissibility conditions
 
     (i)   r(n) - l(n) >= 2
     (ii)  r(n+1) <= 2*l(n+1) - 1
@@ -26,6 +27,8 @@ from fractions import Fraction
 from typing import Any
 
 import mpmath
+from mpmath.libmp import from_float, from_int, mpf_pos, mpf_sign, mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul
+from mpmath.libmp import mpi_pow, mpi_sqrt, mpi_sub, round_ceiling, round_floor, to_float
 
 from ._precision import PrecisionError, certified_floor, certified_sign
 
@@ -55,19 +58,29 @@ def _pair(v: Any) -> tuple[int, int] | None:
     return None
 
 
-def _num(ctx, v: Any):
-    """`v` in the context `ctx` (`mpmath.mp` or `mpmath.iv`).  A Fraction's
-    numerator is divided by its int denominator, which is never rounded first;
-    inside a question that division runs once per (context, precision)."""
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return ctx.mpf(v.numerator)
-        return _recall(v, ("num", ctx, ctx.prec), _quotient, ctx, v)
-    return ctx.mpf(v)
+def _enclose(v: Any, prec: int) -> tuple:
+    """Enclosure of an int, float or Fraction at `prec` as `mpmath.iv` converts
+    it; a Fraction's division runs once per precision inside a question."""
+    if isinstance(v, Fraction) and v.denominator != 1:
+        num, den = v.numerator, v.denominator
+        return _recall(v, ("value", prec), lambda: mpi_div(_enclose(num, prec), _enclose(den, prec), prec))
+    x = from_float(v) if isinstance(v, float) else from_int(int(v))  # exact
+    return (x, x) if x[3] <= prec else (mpf_pos(x, prec, round_floor), mpf_pos(x, prec, round_ceiling))
 
 
-def _quotient(ctx, v: Fraction):
-    return ctx.mpf(v.numerator) / v.denominator
+def _log_int(m: int, prec: int) -> tuple:
+    """Enclosure of log m, m >= 1 an int: one shared row per (m, precision)."""
+    return _recall(_log_int, ("log", prec, m), lambda: mpi_log(_enclose(m, prec), prec))
+
+
+def _log_positive(x: tuple, prec: int, row: str, refusal: str) -> tuple:
+    """Enclosure of log x for x above 0.  x at or below 0 raises `refusal` with
+    x's lower end as a float; else the sign of `row` is undecided at `prec`."""
+    if mpf_sign(x[0]) > 0:
+        return mpi_log(x, prec)
+    if mpf_sign(x[1]) <= 0:
+        raise ProfileError(refusal.format(to_float(x[0])))
+    raise ProfileError(f"sign of {row} undecided at {prec} bits")
 
 
 def _encode(v: Any) -> Any:
@@ -159,10 +172,10 @@ class GrowthProfile:
     it empty and get window estimates instead.
 
     `value` is exact where the formula is rational, a Fraction of the integer
-    pair `_ratio` that floors and exact comparisons read; `mp_value`, `iv_value`
-    and `log_value` are one evaluator (`_eval`, `_log`) over `mpmath.mp` or
-    `mpmath.iv`.  Inside a question (`_question`) each value and log, and the
-    child rows the walks read, is computed once per (context, precision, row).
+    pair `_ratio` that floors and exact comparisons read.  Every row has one
+    enclosure of its value and one of its log per precision (`_eval`, `_log`),
+    each computed once inside a question (`_question`); `mp_value` and
+    `log_value` read its lower end.
     """
 
     kind: str
@@ -234,99 +247,95 @@ class GrowthProfile:
             return n, 1
         return None
 
-    # -- floating paths ---------------------------------------------------
+    # -- enclosures -------------------------------------------------------
 
     def mp_value(self, n: int) -> mpmath.mpf:
-        """Value at n as an mpf under the caller's mpmath precision."""
-        return self._row(mpmath.mp, n)
+        """Lower end of the value's enclosure at the caller's mpmath precision."""
+        return mpmath.mp.make_mpf(self._row(n, mpmath.mp.prec)[0])
 
     def iv_value(self, n: int, iv) -> object:
-        """Directed-rounding interval enclosure of the value at n."""
-        return self._row(iv, n)
+        """Directed-rounding interval enclosure of the value at n, at `iv.prec`."""
+        return iv.make_mpf(self._row(n, iv.prec))
 
     def log_value(self, n: int) -> mpmath.mpf:
-        """Natural log of the value, computed without overflowing exponents."""
-        return self._log_row(mpmath.mp, n)
+        """Lower end of the enclosure of the value's natural log, likewise."""
+        return mpmath.mp.make_mpf(self._log_row(n, mpmath.mp.prec)[0])
 
-    def _row(self, ctx, n: int):
-        return _recall(self, ("value", ctx, ctx.prec, n), self._eval, ctx, n)
+    def _row(self, n: int, prec: int) -> tuple:
+        return _recall(self, ("value", prec, n), self._eval, n, prec)
 
-    def _log_row(self, ctx, n: int):
-        return _recall(self, ("log", ctx, ctx.prec, n), self._log, ctx, n)
+    def _log_row(self, n: int, prec: int) -> tuple:
+        return _recall(self, ("log", prec, n), self._log, n, prec)
 
-    def _eval(self, ctx, n: int):
-        """Value at n in the context `ctx`: `mpmath.mp` rounds to nearest,
-        `mpmath.iv` encloses with directed rounding."""
+    def _eval(self, n: int, prec: int) -> tuple:
+        """Enclosure of the value at n at `prec` bits, each step the `libmpi`
+        operation with directed rounding that `mpmath.iv` would apply."""
         self._check_index(n)
-        exact = self.value(n)
-        if exact is not None:
-            return _num(ctx, exact)
+        if (exact := self.value(n)) is not None:
+            return _enclose(exact, prec)
         k, p = self.kind, self.params
-        if k == "power" or k == "exponential":
-            a = _num(ctx, p["a"])
-            base = ctx.power(n, a) if k == "power" else ctx.power(a, n)
-            return _num(ctx, p.get("coeff", 1)) * base + _num(ctx, p.get("shift", 0))
-        if k == "sqrt":
-            return _num(ctx, p.get("coeff", 1)) * ctx.sqrt(n)
         if k == "log":
-            return _num(ctx, p["coeff"]) * ctx.log(n)
-        if k == "linear_log":
-            return n * ctx.log(_num(ctx, p["a"]))
-        if k == "lil":
-            return ctx.sqrt(2 * n * ctx.log(ctx.log(n)))
-        if k == "affine":
-            return _num(ctx, p["a"]) * n + _num(ctx, p.get("b", 0))
-        if k == "deviation":
-            return n + _num(ctx, p["beta"]) * p["psi"]._row(ctx, n)
-        if k == "index_scaled":
-            return (n + p.get("offset", 0)) * p["u"]._row(ctx, n)
+            return mpi_mul(_enclose(p["coeff"], prec), _log_int(n, prec), prec)
         if k == "exp_of":
-            return ctx.exp(p["inner"]._row(ctx, n))
+            return mpi_exp(p["inner"]._row(n, prec), prec)
+        m = _enclose(n, prec)
+        if k == "power" or k == "exponential":
+            a = _enclose(p["a"], prec)
+            base = mpi_pow(m, a, prec) if k == "power" else mpi_pow(a, m, prec)
+            return mpi_add(mpi_mul(_enclose(p.get("coeff", 1), prec), base, prec), _enclose(p.get("shift", 0), prec), prec)
+        if k == "sqrt":
+            return mpi_mul(_enclose(p.get("coeff", 1), prec), mpi_sqrt(m, prec), prec)
+        if k == "linear_log":
+            return mpi_mul(m, mpi_log(_enclose(p["a"], prec), prec), prec)
+        if k == "lil":
+            return mpi_sqrt(mpi_mul(_enclose(2 * n, prec), mpi_log(_log_int(n, prec), prec), prec), prec)
+        if k == "affine":
+            return mpi_add(mpi_mul(_enclose(p["a"], prec), m, prec), _enclose(p.get("b", 0), prec), prec)
+        if k == "deviation":
+            return mpi_add(m, mpi_mul(_enclose(p["beta"], prec), p["psi"]._row(n, prec), prec), prec)
+        if k == "index_scaled":
+            return mpi_mul(_enclose(n + p.get("offset", 0), prec), p["u"]._row(n, prec), prec)
         if k == "exp_of_scaled":
-            return ctx.exp(p["inner"]._row(ctx, n)) * (1 + p["psi"]._row(ctx, n) / n)
+            factor = mpi_add(_enclose(1, prec), mpi_div(p["psi"]._row(n, prec), m, prec), prec)
+            return mpi_mul(mpi_exp(p["inner"]._row(n, prec), prec), factor, prec)
         if k == "piecewise":
-            return self._branch(n)._row(ctx, n)
+            return self._branch(n)._row(n, prec)
         raise ProfileError(f"no float path for kind {self.kind!r}")
 
-    def _log(self, ctx, n: int):
-        """Natural log of the value at n in `ctx`.  exp_of, exp_of_scaled,
-        shift-free exponential/power rows with positive coeff and base, and
-        index_scaled rows with n + offset > 0 over such a u never form the
-        value, so cannot overflow.  A value that is not positive raises
-        ProfileError."""
+    def _log(self, n: int, prec: int) -> tuple:
+        """Enclosure of the natural log of the value at n at `prec` bits.
+        exp_of, exp_of_scaled, shift-free exponential/power rows with positive
+        coeff and base, and index_scaled rows with n + offset > 0 over such a u
+        never form the value, so cannot overflow; `_log_positive` takes the rest."""
         self._check_index(n)
         k, p = self.kind, self.params
         if k == "exp_of":
-            return p["inner"]._row(ctx, n)
+            return p["inner"]._row(n, prec)
         if k == "exp_of_scaled":
-            factor = 1 + p["psi"]._row(ctx, n) / n
-            if not factor <= 0:  # else the value is not positive, raised below
-                return p["inner"]._row(ctx, n) + ctx.log(factor)
+            factor = mpi_add(_enclose(1, prec), mpi_div(p["psi"]._row(n, prec), _enclose(n, prec), prec), prec)
+            if mpf_sign(factor[0]) > 0:  # else the value's own enclosure decides below
+                return mpi_add(p["inner"]._row(n, prec), mpi_log(factor, prec), prec)
         if (
             (k == "exponential" or k == "power")
             and p.get("shift", 0) == 0
             and p.get("coeff", 1) > 0
             and (k == "power" or p["a"] > 0)
         ):
-            a = _num(ctx, p["a"])
-            log_base = n * ctx.log(a) if k == "exponential" else a * ctx.log(n)
-            return ctx.log(_num(ctx, p.get("coeff", 1))) + log_base
+            a = _enclose(p["a"], prec)
+            factors = (_enclose(n, prec), mpi_log(a, prec)) if k == "exponential" else (a, _log_int(n, prec))
+            return mpi_add(mpi_log(_enclose(p.get("coeff", 1), prec), prec), mpi_mul(*factors, prec), prec)
         if k == "piecewise":
-            return self._branch(n)._log_row(ctx, n)
+            return self._branch(n)._log_row(n, prec)
         if k == "index_scaled" and n + p.get("offset", 0) > 0:
             # log((n + offset) u(n)) from u's own log row, so an exp_of scale
             # never forms its value here
-            return ctx.log(n + p.get("offset", 0)) + p["u"]._log_row(ctx, n)
-        exact = self.value(n)
-        if exact is not None:
+            return mpi_add(_log_int(n + p.get("offset", 0), prec), p["u"]._log_row(n, prec), prec)
+        if (exact := self.value(n)) is not None:
             if exact <= 0:
                 raise ProfileError(f"log of non-positive value {exact} at n={n}")
-            return ctx.log(ctx.mpf(exact.numerator)) - ctx.log(ctx.mpf(exact.denominator))
-        val = self._row(ctx, n)
-        # True for an mpf <= 0, and for an enclosure only when all of it is
-        if val <= 0:
-            raise ProfileError(f"log of non-positive value {val} at n={n}")
-        return ctx.log(val)
+            return mpi_sub(_log_int(exact.numerator, prec), _log_int(exact.denominator, prec), prec)
+        refusal = f"log of non-positive value {{}} at n={n}"
+        return _log_positive(self._row(n, prec), prec, f"the value at n={n}", refusal)
 
     def floor(self, n: int) -> int:
         """Exact integer part of the value at n (certified for irrational
@@ -593,10 +602,10 @@ class BoundsProfile:
         u = self._window_scale()
         if u is not None:
             return u.log_value(n)
-        delta = self.r.mp_value(n) - self.l.mp_value(n)
-        if delta <= 0:
-            raise ProfileError(f"non-positive digit window at level {n}")
-        return mpmath.log(delta)
+        prec = mpmath.mp.prec
+        delta = mpi_sub(self.r._row(n, prec), self.l._row(n, prec), prec)
+        refusal = f"non-positive digit window at level {n}"
+        return mpmath.mp.make_mpf(_log_positive(delta, prec, f"the digit window at level {n}", refusal)[0])
 
     def to_dict(self) -> dict[str, Any]:
         out = {"l": self.l.to_dict(), "r": self.r.to_dict(), "threshold": self.threshold}
@@ -666,7 +675,7 @@ def certified_compare(terms: tuple[tuple[int, GrowthProfile, int], ...], const: 
         return (num > 0) - (num < 0)  # every den is positive
 
     def diff(iv):
-        total = _num(iv, -const)
+        total = iv.make_mpf(_enclose(-const, iv.prec))
         for c, h, n in terms:
             v = h.iv_value(n, iv)
             total += v if c == 1 else c * v

@@ -1,6 +1,7 @@
 """End-to-end command-line tests driven through main(argv)."""
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -179,6 +180,18 @@ def test_dim_log_of_a_non_positive_row_exits_2(capsys, bounds, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+def test_dim_refuses_a_row_whose_sign_is_undecided(capsys):
+    # l(27) = 27^(2/3) - 9 is exactly 0 and its enclosure meets both sides of
+    # 0: the document once printed lower rows 1-27 and dropped upper rows 26-27
+    low, high = {"kind": "affine", "a": 2}, {"kind": "power", "a": "2/3", "shift": -9}
+    bounds = {"l": {"kind": "piecewise", "split": 26, "low": low, "high": high}, "r": {"kind": "affine", "a": 3}}
+    spec = {"family": "E_bounds", "params": {"bounds": {**bounds, "threshold": 0}}}
+    assert main(["dim", json.dumps(spec), "--n-max", "27"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sign of the value at n=27 undecided at 128 bits\n"
 
 
 def test_dim_spec_from_file(tmp_path, capsys):
@@ -464,15 +477,21 @@ def _reference_checks():
 
 def test_dim_documents_match_the_benchmark_reference():
     # every document of the seven reference slots: E_star over geometric and
-    # exp-sqrt scales, F_alpha and E_phi, at --n-max 60 and 1000
+    # exp-sqrt scales, F_alpha and E_phi, at --n-max 60 and 1000.  The
+    # reference holds its floats to a tolerance; the pins in
+    # dim_reference_sha256.json hold each document's stdout and exit code to
+    # the byte, in reference order
     check_document, dim_argv, load_reference = _reference_checks()
     docs = [doc for slot in load_reference()["slots"] for doc in slot["docs"]]
-    assert len(docs) == 56
-    for doc in docs:
+    pins = json.loads(Path(__file__).with_name("dim_reference_sha256.json").read_text(encoding="utf-8"))
+    assert len(docs) == len(pins) == 56
+    for doc, pin in zip(docs, pins):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(dim_argv(doc))
         assert check_document(out.getvalue(), code, doc) is None, doc["spec"]
+        digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+        assert {"sha256": digest, "exit": code} == pin, doc["spec"]
 
 
 _ESTAR = json.dumps({"family": "E_star", "params": {"u": {"kind": "builtin", "name": "scale_geometric3"}}})

@@ -11,7 +11,7 @@ from unittest import mock
 
 import mpmath
 import pytest
-from mpmath.libmp import to_rational
+from mpmath.libmp import to_int, to_rational
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -393,10 +393,14 @@ def test_the_exact_cover_chains_print_the_mp_formulas_floats(case):
 
 def test_a_rounding_tie_may_fall_either_side():
     # phi(n) = n/3, m = 1: num1(2) = (1 + eps)(1/3 + 2/3) is halfway between
-    # two floats; the rounded thirds put the exact sum just off the tie
+    # two floats; the rounded thirds put the exact sum just off the tie.  The
+    # rows are the lower ends of their enclosures, so both thirds lie below
+    # 1/3 and 2/3, and the kernel's exact sum and the oracle's rounded one
+    # fall on the same side
     phi, eps = power_profile(1, coeff=Fraction(1, 3)), 0.9006696428571429
     bound, want = window_cover_bound(phi, eps, 1, 2), _mp_cover_bound(phi, eps, 1, 2)
-    assert float(bound) != float(want) and _rounds_alike(float(bound), want)
+    assert float(bound) == float(want) == 1.9006696428571428
+    assert _rounds_alike(float(bound), want)
     assert not _rounds_alike(float(bound) + 1e-15, want)
 
 
@@ -507,9 +511,9 @@ def test_each_bound_row_is_evaluated_once(monkeypatch, sequence, expected):
 
 
 def _record_computations(monkeypatch, owners):
-    """Count the uncached computations per (name, row) of the named owners:
-    the `_eval` and `_log` walks in mpmath.mp, the floor computation and the
-    log-Delta computation."""
+    """Count the uncached computations of the named owners: the `_eval` and
+    `_log` enclosures per (name, row, precision), and the floor and log-Delta
+    computations per (name, row)."""
     calls = Counter()
     for cls, method in (
         (GrowthProfile, "_eval"),
@@ -518,10 +522,9 @@ def _record_computations(monkeypatch, owners):
         (BoundsProfile, "_log_delta"),
     ):
         def wrapper(self, *args, _method=method, _original=getattr(cls, method)):
-            if len(args) == 1 or args[0] is mpmath.mp:
-                for name, owner in owners.items():
-                    if self is owner:
-                        calls[(f"{name}.{_method}", args[-1])] += 1
+            for name, owner in owners.items():
+                if self is owner:
+                    calls[(f"{name}.{_method}", *args)] += 1
             return _original(self, *args)
 
         monkeypatch.setattr(cls, method, wrapper)
@@ -548,11 +551,13 @@ def test_each_bound_row_is_evaluated_once_per_dim_document(monkeypatch, capsys):
     assert {row["bound_kind"] for row in json.loads(capsys.readouterr().out)["data"]} == {
         "lower", "upper", "box", "gap",
     }
-    # log Delta is u's log (r - l = u), so no mpmath.mp value of l or r is
-    # formed; each window row's floors of l and r are computed once
+    # log Delta is u's log (r - l = u) and the floors read u's enclosure, so
+    # no enclosure of l or r is formed; each window row's log of l and r is
+    # computed once at the working precision, and each floor once
     expected = _once("bounds._log_delta", range(1, 63))
     for name in ("l", "r"):
-        expected += _once(f"{name}._log", range(1, 63)) + _once(f"{name}._floor", range(1, 62))
+        expected += Counter({(f"{name}._log", k, 128): 1 for k in range(1, 63)})
+        expected += _once(f"{name}._floor", range(1, 62))
     assert calls == expected
 
 
@@ -562,10 +567,9 @@ def test_a_dim_document_evaluates_shared_rows_once(monkeypatch, capsys):
     walks, deltas = Counter(), Counter()
     original_eval, original_delta = GrowthProfile._eval, BoundsProfile._log_delta
 
-    def counting_eval(self, ctx, n):
-        if self.label == "scale_exp_sqrt":
-            walks[(n, ctx is mpmath.iv, ctx.prec)] += 1
-        return original_eval(self, ctx, n)
+    def counting_eval(self, n, prec):
+        walks[(self.label, n, prec)] += 1
+        return original_eval(self, n, prec)
 
     def counting_delta(self, n):
         deltas[n] += 1
@@ -593,19 +597,22 @@ def test_a_dim_document_evaluates_shared_rows_once(monkeypatch, capsys):
     assert {row["bound_kind"] for row in json.loads(capsys.readouterr().out)["data"]} == {
         "lower", "upper", "box", "gap",
     }
-    # the logs of l, r and Delta read u's log row, exp(sqrt n) is never formed
-    # in mpmath.mp; enclosures for the floors of rows 1..61 in mpmath.iv, each
-    # once per (row, precision)
-    assert {n for n, in_iv, _ in walks if not in_iv} == set()
-    assert {n for n, in_iv, _ in walks if in_iv} == set(range(1, 62))
+    # u = exp(sqrt n) is enclosed for the floors of rows 1..61 only: the logs
+    # of l, r and Delta read u's log row, the enclosure of sqrt n, and that
+    # one enclosure per row and precision is shared with u's floors
+    assert {(label, prec) for label, _, prec in walks} == {("scale_exp_sqrt", 128), ("sqrt(n)", 128)}
+    assert {n for label, n, _ in walks if label == "scale_exp_sqrt"} == set(range(1, 62))
+    assert {n for label, n, _ in walks if label == "sqrt(n)"} == set(range(1, 63))
     assert set(walks.values()) == {1}
     assert deltas == Counter(range(1, 63))
-    # the floors of l and r read u's enclosure: the question stores no l or r
-    # enclosure, only u's
+    # the question stores no l or r enclosure, only u's and sqrt's, and no key
+    # of it holds a context object
     bounds = read["bounds"]
-    iv_owners = {slot[0] for slot in read["rows"] if isinstance(slot, tuple) and mpmath.iv in slot}
-    assert id(bounds._window_scale()) in iv_owners
-    assert not iv_owners & {id(bounds.l), id(bounds.r)}
+    slots = [slot for slot in read["rows"] if isinstance(slot, tuple)]
+    owners = {slot[0] for slot in slots if slot[1] == "value"}
+    assert id(bounds._window_scale()) in owners
+    assert not owners & {id(bounds.l), id(bounds.r)}
+    assert not any(part is mpmath.mp or part is mpmath.iv for slot in slots for part in slot)
 
 
 SANDWICH_BOUNDS = {
@@ -653,6 +660,25 @@ def test_each_phi_row_is_evaluated_once(monkeypatch):
     calls.clear()
     window_cover_bound(phi, 0.01, 2, 50)
     assert calls == _once("phi.mp_value", range(2, 51))
+
+
+def test_an_e_phi_document_forms_each_integer_log_once(monkeypatch, capsys):
+    # phi(k) = 2 log k, its floors and the cover chains' log k column read one
+    # shared enclosure of log k per precision
+    formed = Counter()
+    original = profiles.mpi_log
+
+    def counting(x, prec):
+        formed[(x, prec)] += 1
+        return original(x, prec)
+
+    monkeypatch.setattr(profiles, "mpi_log", counting)
+    spec = json.dumps({"family": "E_phi", "params": {"profile": {"kind": "log", "coeff": 2}}})
+    assert cli.main(["dim", spec, "--n-max", "60"]) == 0
+    start = json.loads(capsys.readouterr().out)["summary"]["cover_start"]
+    assert all(lo == hi for (lo, hi), _ in formed)
+    assert {to_int(lo) for (lo, _), prec in formed if prec == 128} >= set(range(start, 62))
+    assert set(formed.values()) == {1}
 
 
 @pytest.mark.parametrize("epsilon", [0, 1.5])

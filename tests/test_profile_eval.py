@@ -1,14 +1,18 @@
-"""The one profile evaluator over `mpmath.mp` and `mpmath.iv`: every kind's
-float value lies inside its interval enclosure, and its bits are pinned."""
+"""The one profile evaluator: every kind's row is one enclosure on raw
+endpoint pairs, bit-identical to the `mpmath.iv` walk kept here as the oracle,
+and the float readers take its lower end.  The oracle's `mpmath.mp` walk lies
+inside the enclosures, and its bits are pinned."""
 
 import math
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_int, mpf_shift
 
 from piercelib import profiles
 from piercelib._precision import certified_floor
@@ -138,13 +142,87 @@ PINNED = {
 }
 
 
-@pytest.fixture
-def iv128():
+# -- the oracle: the context walk the evaluator replaced ----------------------
+
+
+def _num(ctx, v):
+    """`v` in the context `ctx` (`mpmath.mp` or `mpmath.iv`): a Fraction's
+    numerator divided by its denominator."""
+    if isinstance(v, Fraction):
+        return ctx.mpf(v.numerator) if v.denominator == 1 else ctx.mpf(v.numerator) / v.denominator
+    return ctx.mpf(v)
+
+
+def _eval(h, ctx, n):
+    """Value of profile h at n in `ctx`: `mpmath.mp` rounds to nearest,
+    `mpmath.iv` encloses with directed rounding."""
+    exact = h.value(n)
+    if exact is not None:
+        return _num(ctx, exact)
+    k, p = h.kind, h.params
+    if k == "power" or k == "exponential":
+        a = _num(ctx, p["a"])
+        base = ctx.power(n, a) if k == "power" else ctx.power(a, n)
+        return _num(ctx, p.get("coeff", 1)) * base + _num(ctx, p.get("shift", 0))
+    if k == "sqrt":
+        return _num(ctx, p.get("coeff", 1)) * ctx.sqrt(n)
+    if k == "log":
+        return _num(ctx, p["coeff"]) * ctx.log(n)
+    if k == "linear_log":
+        return n * ctx.log(_num(ctx, p["a"]))
+    if k == "lil":
+        return ctx.sqrt(2 * n * ctx.log(ctx.log(n)))
+    if k == "affine":
+        return _num(ctx, p["a"]) * n + _num(ctx, p.get("b", 0))
+    if k == "deviation":
+        return n + _num(ctx, p["beta"]) * _eval(p["psi"], ctx, n)
+    if k == "index_scaled":
+        return (n + p.get("offset", 0)) * _eval(p["u"], ctx, n)
+    if k == "exp_of":
+        return ctx.exp(_eval(p["inner"], ctx, n))
+    if k == "exp_of_scaled":
+        return ctx.exp(_eval(p["inner"], ctx, n)) * (1 + _eval(p["psi"], ctx, n) / n)
+    assert k == "piecewise", k
+    return _eval(h._branch(n), ctx, n)
+
+
+def _log(h, ctx, n):
+    """Natural log of h's value at n in `ctx`, by the same formulas as the
+    evaluator's log rows; every oracle row here is positive."""
+    k, p = h.kind, h.params
+    if k == "exp_of":
+        return _eval(p["inner"], ctx, n)
+    if k == "exp_of_scaled":
+        factor = 1 + _eval(p["psi"], ctx, n) / n
+        if not factor <= 0:
+            return _eval(p["inner"], ctx, n) + ctx.log(factor)
+    if (
+        (k == "exponential" or k == "power")
+        and p.get("shift", 0) == 0
+        and p.get("coeff", 1) > 0
+        and (k == "power" or p["a"] > 0)
+    ):
+        a = _num(ctx, p["a"])
+        log_base = n * ctx.log(a) if k == "exponential" else a * ctx.log(n)
+        return ctx.log(_num(ctx, p.get("coeff", 1))) + log_base
+    if k == "piecewise":
+        return _log(h._branch(n), ctx, n)
+    if k == "index_scaled" and n + p.get("offset", 0) > 0:
+        return ctx.log(n + p.get("offset", 0)) + _log(p["u"], ctx, n)
+    exact = h.value(n)
+    if exact is not None:
+        return ctx.log(ctx.mpf(exact.numerator)) - ctx.log(ctx.mpf(exact.denominator))
+    return ctx.log(_eval(h, ctx, n))
+
+
+@contextmanager
+def _iv_at(bits):
+    """`mpmath.iv` at `bits`, and `mpmath.mp` at the same precision."""
     iv = mpmath.iv
     old = iv.prec
-    iv.prec = 128
+    iv.prec = bits
     try:
-        with mpmath.workprec(128):
+        with mpmath.workprec(bits):
             yield iv
     finally:
         iv.prec = old
@@ -156,26 +234,43 @@ def test_every_kind_has_a_case():
 
 
 @pytest.mark.parametrize("kind", _KINDS)
-def test_mp_value_lies_inside_interval_enclosure(kind, iv128):
-    for profile in CASES[kind]:
-        for n in LEVELS:
-            enclosure = profile.iv_value(n, iv128)
-            assert profile.mp_value(n) in enclosure, (profile.label, n)
-            # log_value composes rounded logs (log 4 as log(1/2) + 3 log 2
-            # misses by over an ulp), so it is held to the interval run of its
-            # own formula, and that run must meet the log of the enclosure
-            log_enclosure = profile._log(iv128, n)
-            assert profile.log_value(n) in log_enclosure, (profile.label, n)
-            direct = iv128.log(enclosure)
-            assert log_enclosure.a <= direct.b and direct.a <= log_enclosure.b, (profile.label, n)
+def test_enclosures_are_the_iv_walk_bit_for_bit(kind):
+    for bits in (53, 128, 256, 4096):
+        with _iv_at(bits) as iv:
+            for profile in CASES[kind]:
+                for n in LEVELS:
+                    assert profile._row(n, bits) == _eval(profile, iv, n)._mpi_, (profile.label, n, bits)
+                    assert profile._log_row(n, bits) == _log(profile, iv, n)._mpi_, (profile.label, n, bits)
 
 
 @pytest.mark.parametrize("kind", _KINDS)
-def test_mp_and_log_bits_pinned(kind, iv128):
+def test_mp_value_lies_inside_interval_enclosure(kind):
+    with _iv_at(128) as iv:
+        for profile in CASES[kind]:
+            for n in LEVELS:
+                enclosure = profile.iv_value(n, iv)
+                log_enclosure = iv.make_mpf(profile._log_row(n, 128))
+                # the oracle's mp walk lies inside the enclosures ...
+                assert _eval(profile, mpmath.mp, n) in enclosure, (profile.label, n)
+                # (the log rows compose rounded logs: log 4 as log(1/2) + 3 log 2
+                # misses by over an ulp, so the mp log is held to the enclosure
+                # of its own formula, and that must meet the log of the value's)
+                assert _log(profile, mpmath.mp, n) in log_enclosure, (profile.label, n)
+                direct = iv.log(enclosure)
+                assert log_enclosure.a <= direct.b and direct.a <= log_enclosure.b, (profile.label, n)
+                # ... and the float readers are their lower ends
+                assert profile.mp_value(n) == enclosure.a, (profile.label, n)
+                assert profile.log_value(n) == log_enclosure.a, (profile.label, n)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_mp_and_log_bits_pinned(kind):
+    # the oracle's mpmath.mp walk: the float formulas the enclosures replaced
     profile = CASES[kind][0]
-    got = tuple(
-        (profile.mp_value(n).man_exp, profile.log_value(n).man_exp) for n in PINNED_LEVELS
-    )
+    with mpmath.workprec(128):
+        got = tuple(
+            (_eval(profile, mpmath.mp, n).man_exp, _log(profile, mpmath.mp, n).man_exp) for n in PINNED_LEVELS
+        )
     assert got == PINNED[kind]
 
 
@@ -233,8 +328,9 @@ def test_only_windows_one_scale_apart_read_the_scale():
     ]:
         bounds = BoundsProfile(l, r)
         assert bounds._window_scale() is None
-        with mpmath.workprec(128):
-            assert bounds.log_delta(5) == mpmath.log(r.mp_value(5) - l.mp_value(5))
+        # the log of r - l on the two rows' enclosures, read at its lower end
+        with _iv_at(128) as iv:
+            assert bounds.log_delta(5) == iv.log(_eval(r, iv, 5) - _eval(l, iv, 5)).a
 
 
 @pytest.mark.parametrize(
@@ -262,27 +358,42 @@ def test_log_of_a_non_positive_row_raises(profile):
         profile.log_value(1)
 
 
+@pytest.mark.parametrize("bits", [53, 128])
+def test_a_row_whose_enclosure_meets_zero_takes_no_log(bits):
+    # 27^(2/3) - 9 is exactly 0, and its enclosure meets both sides of 0: a
+    # float of it once took a log of -85.95 at 128 bits and refused -1.8e-15
+    # as negative at 53
+    row = power_profile(Fraction(2, 3), shift=-9)
+    window = BoundsProfile(power_profile(Fraction(2, 3)), affine_profile(0, 9))
+    with mpmath.workprec(bits):
+        with pytest.raises(ProfileError, match=f"^sign of the value at n=27 undecided at {bits} bits$"):
+            row.log_value(27)
+        with pytest.raises(ProfileError, match=f"^sign of the digit window at level 27 undecided at {bits} bits$"):
+            window.log_delta(27)
+
+
 def test_a_fraction_parameter_converts_once_per_question(monkeypatch):
+    # a Fraction's conversion is the one division on this path
     calls = Counter()
-    original = profiles._quotient
+    original = profiles.mpi_div
 
-    def counting(ctx, v):
-        calls[(ctx is mpmath.iv, v)] += 1
-        return original(ctx, v)
+    def counting(s, t, prec):
+        calls[prec] += 1
+        return original(s, t, prec)
 
-    monkeypatch.setattr(profiles, "_quotient", counting)
+    monkeypatch.setattr(profiles, "mpi_div", counting)
     bounds = _scale_windows(exp_of_profile(sqrt_profile(Fraction(65, 64))))
     with profiles._question(), mpmath.workprec(128):
         for n in range(1, 30):
             bounds.log_delta(n)
             bounds.l.log_value(n)
             bounds.digit_range(n)
-    # the mp logs and the iv enclosures at 128 bits: one division each
-    assert calls == Counter({(False, Fraction(65, 64)): 1, (True, Fraction(65, 64)): 1})
+    # the logs and the floors read one enclosure per row at 128 bits: one division
+    assert calls == Counter({128: 1})
     calls.clear()
     bounds.l.log_value(3)
     bounds.l.log_value(3)
-    assert calls == Counter({(False, Fraction(65, 64)): 2})  # no question, no cache
+    assert calls == Counter({53: 2})  # no question, no cache
 
 
 # -- digit ranges of scale windows ------------------------------------------------
@@ -311,10 +422,16 @@ RANGE_SCALES = (
 @example(u=RANGE_SCALES[-1], offset=0, n=31, prec=128)
 @settings(max_examples=150, deadline=None)
 def test_a_scale_window_range_is_the_floors_of_l_and_r(u, offset, n, prec):
+    # the oracle floors l's and r's own enclosures from the mpmath.iv walk;
+    # exact rows floor their exact value
     bounds = BoundsProfile(index_scaled_profile(u, offset), index_scaled_profile(u, offset + 1))
     assert bounds._window_scale() is u
     with mpmath.workprec(prec):
-        assert bounds.digit_range(n) == (bounds.l.floor(n) + 1, bounds.r.floor(n))
+        want = [
+            math.floor(h.value(n)) if h.value(n) is not None else certified_floor(lambda iv, h=h: _eval(h, iv, n))
+            for h in (bounds.l, bounds.r)
+        ]
+        assert bounds.digit_range(n) == (want[0] + 1, want[1])
 
 
 # exact and transcendental scales for index_scaled floors; no row here is an
@@ -330,13 +447,13 @@ FLOOR_SCALES = RANGE_SCALES[:3] + (
 
 @pytest.mark.parametrize("prec", [53, 128])
 def test_an_index_scaled_floor_is_the_floor_of_its_enclosure(monkeypatch, prec):
-    # the old floor, certified_floor of the row's own enclosure, is the oracle
-    # of the escalation over u's enclosure; exact rows floor their exact value
+    # certified_floor of the row's own enclosure from the mpmath.iv walk is the
+    # oracle of the escalation over u's enclosure; exact rows floor their value
     walks, original = Counter(), GrowthProfile._eval
 
-    def counting(self, ctx, n):
+    def counting(self, n, bits):
         walks[self.kind] += 1
-        return original(self, ctx, n)
+        return original(self, n, bits)
 
     # n + offset <= 0 on the first rows of the negative offsets
     cases = [
@@ -353,7 +470,7 @@ def test_an_index_scaled_floor_is_the_floor_of_its_enclosure(monkeypatch, prec):
         assert walks["index_scaled"] == 0 and walks["exp_of"] > 0
         for (row, n), got in zip(cases, floors):
             exact = row.value(n)
-            want = certified_floor(lambda iv: row.iv_value(n, iv)) if exact is None else math.floor(exact)
+            want = certified_floor(lambda iv: _eval(row, iv, n)) if exact is None else math.floor(exact)
             assert got == want, (row.params["u"].label, row.params["offset"], n)
 
 
@@ -363,13 +480,13 @@ def test_an_undecided_scale_row_escalates_once_for_both_floors(monkeypatch):
     u = sqrt_profile(label="scripted")
     builds, original = [], GrowthProfile._eval
 
-    def scripted(self, ctx, n):
-        if self.label != "scripted" or ctx is not mpmath.iv:
-            return original(self, ctx, n)
-        builds.append(ctx.prec)
-        frac = ctx.prec - 16
+    def scripted(self, n, prec):
+        if self.label != "scripted":
+            return original(self, n, prec)
+        builds.append(prec)
+        frac = prec - 16
         lo = math.floor((Fraction(7, 3) + Fraction(1, 2**150)) * 2**frac)
-        return ctx.mpf([lo - 1, lo + 1]) / ctx.mpf(2) ** frac
+        return mpf_shift(from_int(lo - 1), -frac), mpf_shift(from_int(lo + 1), -frac)
 
     monkeypatch.setattr(GrowthProfile, "_eval", scripted)
     bounds = _scale_windows(u)

@@ -343,17 +343,17 @@ def test_find_threshold_agrees_with_the_unshared_search_on_deviation_rows(beta, 
 
 
 def test_find_threshold_builds_each_enclosure_once(monkeypatch):
-    # the enclosures are counted where they are computed: the _eval walks in
-    # mpmath.iv on the rows of l and r
+    # the enclosures are counted where they are computed: the _eval walks on
+    # the rows of l and r, per (row, precision)
     labels = {"exp(n + beta*psi)", "(1+psi/n)*exp(n + beta*psi)"}
     counted = set(labels)
     built = Counter()
     original = GrowthProfile._eval
 
-    def counting(self, ctx, n):
-        if ctx is mpmath.iv and self.label in counted:
-            built[(self.label, n, ctx.prec)] += 1
-        return original(self, ctx, n)
+    def counting(self, n, prec):
+        if self.label in counted:
+            built[(self.label, n, prec)] += 1
+        return original(self, n, prec)
 
     monkeypatch.setattr(GrowthProfile, "_eval", counting)
     assert deviation_bounds(lil_profile(), 1, k_limit=40, window=64).threshold == 2
@@ -377,16 +377,16 @@ def test_shared_nodes_are_evaluated_once_per_row_and_precision(monkeypatch):
     walks = Counter()
     original = GrowthProfile._eval
 
-    def counting(self, ctx, n):
+    def counting(self, n, prec):
         if self.label in ("n + 1*psi(n)", "lil-scale"):
-            walks[(self.label, n, ctx is mpmath.iv, ctx.prec)] += 1
-        return original(self, ctx, n)
+            walks[(self.label, n, prec)] += 1
+        return original(self, n, prec)
 
     monkeypatch.setattr(GrowthProfile, "_eval", counting)
     bounds = deviation_bounds(lil_profile(), 1, k_limit=40, window=64)
     assert bounds.threshold == 2
-    assert {(label, n, in_iv) for label, n, in_iv, _ in walks} == {
-        (label, n, True) for label in ("n + 1*psi(n)", "lil-scale") for n in range(1, 42)
+    assert {(label, n) for label, n, _ in walks} == {
+        (label, n) for label in ("n + 1*psi(n)", "lil-scale") for n in range(1, 42)
     }
     assert set(walks.values()) == {1}
     # a count over those bounds shares them between its l and r floors, and a
@@ -394,7 +394,7 @@ def test_shared_nodes_are_evaluated_once_per_row_and_precision(monkeypatch):
     for _ in range(2):
         walks.clear()
         count_constrained_words(12, bounds)
-        assert {(label, n) for label, n, _, _ in walks} == {
+        assert {(label, n) for label, n, _ in walks} == {
             (label, n) for label in ("n + 1*psi(n)", "lil-scale") for n in range(3, 13)
         }
         assert set(walks.values()) == {1}
