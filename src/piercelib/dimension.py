@@ -36,15 +36,17 @@ from fractions import Fraction
 from itertools import accumulate
 
 import mpmath
+from mpmath.libmp import mpi_add, mpi_exp, mpi_mul, mpi_sub
 
-from ._precision import DEFAULT_PRECISION_BITS, certified_floor
+from ._precision import DEFAULT_PRECISION_BITS, _escalate, _floor_of
 from .families import SetSpec, count_constrained_words, emptiness_check, enumerate_constrained_words
 from .intervals import family_basic_interval
 from .profiles import (
     DEFAULT_WINDOW,
     BoundsProfile,
     GrowthProfile,
-    _log_int,
+    _enclose,
+    _log_const,
     check_deviation_scale,
 )
 
@@ -85,7 +87,7 @@ def _column(f, last: int, first: int = 1) -> list:
 
 def _log_of(m: int) -> mpmath.mpf:
     """log m, m >= 1 an int, as a row: its shared enclosure's lower end."""
-    return mpmath.mp.make_mpf(_log_int(m, mpmath.mp.prec)[0])
+    return mpmath.mp.make_mpf(_log_const(m, mpmath.mp.prec)[0])
 
 
 def _log_counts(bounds: BoundsProfile, last: int, least: int, message: str) -> list:
@@ -492,12 +494,12 @@ def _cover_row(phi: GrowthProfile, epsilon: float, n: int) -> tuple[bool, int | 
     bottom), the floor gap None where the window is decided in floats."""
     hi_exp = float(phi.mp_value(n)) * (1 + epsilon)
     if hi_exp <= 44:  # value fits comfortably below 2^64: use exact floors
-        lo_floor = certified_floor(
-            lambda iv: iv.exp((1 - iv.mpf(epsilon)) * phi.iv_value(n, iv))
-        )
-        hi_floor = certified_floor(
-            lambda iv: iv.exp((1 + iv.mpf(epsilon)) * phi.iv_value(n, iv))
-        )
+
+        def end(op, prec: int) -> tuple:  # e^{(1 - eps) phi(n)} or e^{(1 + eps) phi(n)}
+            return mpi_exp(mpi_mul(op(_enclose(1, prec), _enclose(epsilon, prec), prec), phi._row(n, prec), prec), prec)
+
+        lo_floor = _escalate(lambda prec: end(mpi_sub, prec), _floor_of, "floor")
+        hi_floor = _escalate(lambda prec: end(mpi_add, prec), _floor_of, "floor")
         return lo_floor + 1 <= hi_floor and n <= hi_floor, hi_floor - lo_floor
     # huge windows: e^{hi} - e^{lo} >= 1 and e^{hi} >= n + 1 suffice
     lo_exp = float(phi.mp_value(n)) * (1 - epsilon)

@@ -5,7 +5,8 @@ exact-rational evaluation path where the formula allows one.  Everywhere else
 one walk over the profile kinds, with an overflow-safe log beside it, builds
 each row as one directed-rounding enclosure at an explicit precision: a raw
 (lo, hi) pair of mpf tuples from the `mpmath.libmp` interval operations.  The
-float columns read its lower end, the certified floors and signs all of it.
+float columns read its lower end; the certified floors and signs escalate the
+pair itself (`_precision._escalate`), and build no `mpmath.iv` object.
 A bounds profile pairs two growth profiles (l, r) and constrains digits by
 l(n) < d_n <= r(n); `find_threshold` locates the splice index beyond which
 the three admissibility conditions
@@ -30,7 +31,7 @@ import mpmath
 from mpmath.libmp import from_float, from_int, mpf_pos, mpf_sign, mpi_add, mpi_div, mpi_exp, mpi_log, mpi_mul
 from mpmath.libmp import mpi_pow, mpi_sqrt, mpi_sub, round_ceiling, round_floor, to_float
 
-from ._precision import PrecisionError, certified_floor, certified_sign
+from ._precision import PrecisionError, _escalate, _floor_of, _sign_of
 
 DEFAULT_WINDOW = 10_000
 
@@ -64,13 +65,16 @@ def _enclose(v: Any, prec: int) -> tuple:
     if isinstance(v, Fraction) and v.denominator != 1:
         num, den = v.numerator, v.denominator
         return _recall(v, ("value", prec), lambda: mpi_div(_enclose(num, prec), _enclose(den, prec), prec))
-    x = from_float(v) if isinstance(v, float) else from_int(int(v))  # exact
+    m = v if isinstance(v, float) else int(v)
+    if isinstance(m, int) and m.bit_length() > prec:  # rounded: exactly, its zero bits strip slowly
+        return from_int(m, prec, round_floor), from_int(m, prec, round_ceiling)
+    x = from_float(m) if isinstance(m, float) else from_int(m)  # exact
     return (x, x) if x[3] <= prec else (mpf_pos(x, prec, round_floor), mpf_pos(x, prec, round_ceiling))
 
 
-def _log_int(m: int, prec: int) -> tuple:
-    """Enclosure of log m, m >= 1 an int: one shared row per (m, precision)."""
-    return _recall(_log_int, ("log", prec, m), lambda: mpi_log(_enclose(m, prec), prec))
+def _log_const(v: Any, prec: int) -> tuple:
+    """Enclosure of log v, v > 0 an exact int, Fraction or float: one row per (value, precision)."""
+    return _recall(_log_const, ("log", prec, v), lambda: mpi_log(_enclose(v, prec), prec))
 
 
 def _log_positive(x: tuple, prec: int, row: str, refusal: str) -> tuple:
@@ -175,7 +179,8 @@ class GrowthProfile:
     pair `_ratio` that floors and exact comparisons read.  Every row has one
     enclosure of its value and one of its log per precision (`_eval`, `_log`),
     each computed once inside a question (`_question`); `mp_value` and
-    `log_value` read its lower end.
+    `log_value` read its lower end, and `floor` escalates the raw pair (of u,
+    times n + offset, for an index_scaled row).
     """
 
     kind: str
@@ -253,10 +258,6 @@ class GrowthProfile:
         """Lower end of the value's enclosure at the caller's mpmath precision."""
         return mpmath.mp.make_mpf(self._row(n, mpmath.mp.prec)[0])
 
-    def iv_value(self, n: int, iv) -> object:
-        """Directed-rounding interval enclosure of the value at n, at `iv.prec`."""
-        return iv.make_mpf(self._row(n, iv.prec))
-
     def log_value(self, n: int) -> mpmath.mpf:
         """Lower end of the enclosure of the value's natural log, likewise."""
         return mpmath.mp.make_mpf(self._log_row(n, mpmath.mp.prec)[0])
@@ -275,7 +276,7 @@ class GrowthProfile:
             return _enclose(exact, prec)
         k, p = self.kind, self.params
         if k == "log":
-            return mpi_mul(_enclose(p["coeff"], prec), _log_int(n, prec), prec)
+            return mpi_mul(_enclose(p["coeff"], prec), _log_const(n, prec), prec)
         if k == "exp_of":
             return mpi_exp(p["inner"]._row(n, prec), prec)
         m = _enclose(n, prec)
@@ -286,9 +287,9 @@ class GrowthProfile:
         if k == "sqrt":
             return mpi_mul(_enclose(p.get("coeff", 1), prec), mpi_sqrt(m, prec), prec)
         if k == "linear_log":
-            return mpi_mul(m, mpi_log(_enclose(p["a"], prec), prec), prec)
+            return mpi_mul(m, _log_const(p["a"], prec), prec)
         if k == "lil":
-            return mpi_sqrt(mpi_mul(_enclose(2 * n, prec), mpi_log(_log_int(n, prec), prec), prec), prec)
+            return mpi_sqrt(mpi_mul(_enclose(2 * n, prec), mpi_log(_log_const(n, prec), prec), prec), prec)
         if k == "affine":
             return mpi_add(mpi_mul(_enclose(p["a"], prec), m, prec), _enclose(p.get("b", 0), prec), prec)
         if k == "deviation":
@@ -321,19 +322,19 @@ class GrowthProfile:
             and p.get("coeff", 1) > 0
             and (k == "power" or p["a"] > 0)
         ):
-            a = _enclose(p["a"], prec)
-            factors = (_enclose(n, prec), mpi_log(a, prec)) if k == "exponential" else (a, _log_int(n, prec))
-            return mpi_add(mpi_log(_enclose(p.get("coeff", 1), prec), prec), mpi_mul(*factors, prec), prec)
+            exponent, base = (n, p["a"]) if k == "exponential" else (p["a"], n)
+            log_power = mpi_mul(_enclose(exponent, prec), _log_const(base, prec), prec)
+            return mpi_add(_log_const(p.get("coeff", 1), prec), log_power, prec)
         if k == "piecewise":
             return self._branch(n)._log_row(n, prec)
         if k == "index_scaled" and n + p.get("offset", 0) > 0:
             # log((n + offset) u(n)) from u's own log row, so an exp_of scale
             # never forms its value here
-            return mpi_add(_log_int(n + p.get("offset", 0), prec), p["u"]._log_row(n, prec), prec)
+            return mpi_add(_log_const(n + p.get("offset", 0), prec), p["u"]._log_row(n, prec), prec)
         if (exact := self.value(n)) is not None:
             if exact <= 0:
                 raise ProfileError(f"log of non-positive value {exact} at n={n}")
-            return mpi_sub(_log_int(exact.numerator, prec), _log_int(exact.denominator, prec), prec)
+            return mpi_sub(_log_const(exact.numerator, prec), _log_const(exact.denominator, prec), prec)
         refusal = f"log of non-positive value {{}} at n={n}"
         return _log_positive(self._row(n, prec), prec, f"the value at n={n}", refusal)
 
@@ -347,12 +348,12 @@ class GrowthProfile:
         pair = self._ratio(n)
         if pair is not None:
             return pair[0] // pair[1]
+        row, k = self, 1
         if self.kind == "index_scaled":
             # (n + offset) times u's enclosure, exactly: no enclosure of this
             # row is built, so inside a question l and r share u's enclosures
-            u = self.params["u"]
-            return certified_floor(lambda iv: u.iv_value(n, iv), n + self.params.get("offset", 0))
-        return certified_floor(lambda iv: self.iv_value(n, iv))
+            row, k = self.params["u"], n + self.params.get("offset", 0)
+        return _escalate(lambda prec: row._row(n, prec), lambda pair: _floor_of(pair, k), "floor")
 
     def _branch(self, n: int) -> "GrowthProfile":
         """The piecewise branch that holds level n."""
@@ -674,15 +675,15 @@ def certified_compare(terms: tuple[tuple[int, GrowthProfile, int], ...], const: 
     else:
         return (num > 0) - (num < 0)  # every den is positive
 
-    def diff(iv):
-        total = iv.make_mpf(_enclose(-const, iv.prec))
+    def diff(prec):
+        total = _enclose(-const, prec)
         for c, h, n in terms:
-            v = h.iv_value(n, iv)
-            total += v if c == 1 else c * v
+            v = h._row(n, prec)
+            total = mpi_add(total, v if c == 1 else mpi_mul(_enclose(c, prec), v, prec), prec)
         return total
 
     try:
-        return certified_sign(diff)
+        return _escalate(diff, _sign_of, "sign")
     except PrecisionError:
         return None
 
@@ -891,13 +892,11 @@ def oscillating_ratio_word(k_max: int) -> tuple[int, ...]:
     toward two different limits (1 and e^2).  Floors are certified."""
     if k_max < 2:
         raise ProfileError("need k_max >= 2")
-    digits = []
-    for n in range(1, k_max + 1):
-        off = 1 if n % 2 else 0
-        digits.append(
-            certified_floor(lambda iv: iv.exp(iv.mpf(n - off) + iv.sqrt(iv.mpf(n))))
-        )
-    word = tuple(digits)
+
+    def row(n: int, prec: int) -> tuple:  # n - n % 2 is n - 1 at odd n
+        return mpi_exp(mpi_add(_enclose(n - n % 2, prec), mpi_sqrt(_enclose(n, prec), prec), prec), prec)
+
+    word = tuple(_escalate(lambda prec: row(n, prec), _floor_of, "floor") for n in range(1, k_max + 1))
     for a, b in zip(word, word[1:]):
         if b <= a:
             raise ProfileError(f"fixture word not strictly increasing at {a} -> {b}")

@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
@@ -192,6 +195,33 @@ def test_dim_refuses_a_row_whose_sign_is_undecided(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: sign of the value at n=27 undecided at 128 bits\n"
+
+
+def test_dim_of_a_super_exponential_scale_leaves_its_floors_undecided():
+    # u(n) = exp(n^10): l(6) = 6 u(6) is near 2^(8.7 * 10^7).  No floor above
+    # 2^(2^16) is decided, so box and gap are unavailable and no branch count
+    # of that size is formed; the document once hung and then ran out of memory
+    u = {"kind": "exp_of", "inner": {"kind": "power", "a": 10}}
+    spec = json.dumps({"family": "E_star", "params": {"u": u}})
+    cap = 3 * 10**9
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "piercelib.cli", "dim", spec, "--n-max", "6"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=limit_memory,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    undecided = "unavailable: floor undecided at 65536 bits"
+    assert doc["summary"]["box_sequence"] == doc["summary"]["gap_sequence"] == undecided
+    assert {row["bound_kind"] for row in doc["data"]} == {"lower", "upper"}
 
 
 def test_dim_spec_from_file(tmp_path, capsys):

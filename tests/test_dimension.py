@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from piercelib import cli, dimension, profiles
-from piercelib._precision import PrecisionError
+from piercelib._precision import PrecisionError, _at_precision, _floor_of
 from piercelib.dimension import (
     DimensionEstimate,
     RatioPoint,
@@ -681,6 +681,25 @@ def test_an_e_phi_document_forms_each_integer_log_once(monkeypatch, capsys):
     assert set(formed.values()) == {1}
 
 
+def test_an_e_star_document_forms_each_constant_log_once(monkeypatch, capsys):
+    # u(n) = 2 * 3^n: log u(n) = log 2 + n log 3 reads one shared enclosure of
+    # log 2 and of log 3 per precision, and log 2 is also log(n + offset) at 2
+    formed = Counter()
+    original = profiles.mpi_log
+
+    def counting(x, prec):
+        formed[(x, prec)] += 1
+        return original(x, prec)
+
+    monkeypatch.setattr(profiles, "mpi_log", counting)
+    spec = json.dumps({"family": "E_star", "params": {"u": {"kind": "builtin", "name": "scale_geometric3"}}})
+    assert cli.main(["dim", spec, "--n-max", "60"]) == 0
+    capsys.readouterr()
+    assert all(lo == hi for (lo, hi), _ in formed)
+    assert {(to_int(lo), prec) for (lo, _), prec in formed} >= {(2, 128), (3, 128)}
+    assert set(formed.values()) == {1}
+
+
 @pytest.mark.parametrize("epsilon", [0, 1.5])
 @pytest.mark.parametrize(
     "cover",
@@ -917,16 +936,23 @@ def test_find_cover_start():
     assert find_cover_start(builtin_profiles()["geometric3"], 0.01) == 1
 
 
+def _oracle_floor(expr):
+    """The floor of an `mpmath.iv` expression, escalated as `dimension`
+    escalates its own floors."""
+    return dimension._escalate(lambda bits: _at_precision(expr, bits), _floor_of, "floor")
+
+
 def _full_scan_row_ok(phi, epsilon, n):
     """Row n's window conditions as `find_cover_start` decided them before
-    its widening rule: two certified floors, or floats above e^44."""
+    its widening rule: two certified floors, or floats above e^44.  The
+    window ends are the `mpmath.iv` expressions over phi's enclosure."""
     hi_exp = float(phi.mp_value(n)) * (1 + epsilon)
     if hi_exp <= 44:
-        lo_floor = dimension.certified_floor(
-            lambda iv: iv.exp((1 - iv.mpf(epsilon)) * phi.iv_value(n, iv))
+        lo_floor = _oracle_floor(
+            lambda iv: iv.exp((1 - iv.mpf(epsilon)) * iv.make_mpf(phi._row(n, iv.prec)))
         )
-        hi_floor = dimension.certified_floor(
-            lambda iv: iv.exp((1 + iv.mpf(epsilon)) * phi.iv_value(n, iv))
+        hi_floor = _oracle_floor(
+            lambda iv: iv.exp((1 + iv.mpf(epsilon)) * iv.make_mpf(phi._row(n, iv.prec)))
         )
         return lo_floor + 1 <= hi_floor and n <= hi_floor
     lo_exp = float(phi.mp_value(n)) * (1 - epsilon)
@@ -998,15 +1024,15 @@ def test_cover_start_is_not_stopped_by_a_narrow_window_that_holds_an_integer():
 
 
 def _count_floors(monkeypatch):
-    """A list that gains one entry per certified floor `dimension` takes."""
+    """A list that gains one entry per certified floor `dimension` escalates."""
     rows = []
-    original = dimension.certified_floor
+    original = dimension._escalate
 
-    def counting(expr, *args):
-        rows.append(expr)
-        return original(expr, *args)
+    def counting(enclose, decide, what):
+        rows.append(enclose)
+        return original(enclose, decide, what)
 
-    monkeypatch.setattr(dimension, "certified_floor", counting)
+    monkeypatch.setattr(dimension, "_escalate", counting)
     return rows
 
 

@@ -21,6 +21,7 @@ from piercelib.profiles import (
     BoundsProfile,
     GrowthProfile,
     ProfileError,
+    _enclose,
     _scale_windows,
     affine_profile,
     deviation_profile,
@@ -248,7 +249,7 @@ def test_mp_value_lies_inside_interval_enclosure(kind):
     with _iv_at(128) as iv:
         for profile in CASES[kind]:
             for n in LEVELS:
-                enclosure = profile.iv_value(n, iv)
+                enclosure = iv.make_mpf(profile._row(n, 128))
                 log_enclosure = iv.make_mpf(profile._log_row(n, 128))
                 # the oracle's mp walk lies inside the enclosures ...
                 assert _eval(profile, mpmath.mp, n) in enclosure, (profile.label, n)
@@ -394,6 +395,15 @@ def test_a_fraction_parameter_converts_once_per_question(monkeypatch):
     bounds.l.log_value(3)
     bounds.l.log_value(3)
     assert calls == Counter({53: 2})  # no question, no cache
+
+
+def test_a_wide_int_converts_rounded_at_once():
+    # 2^(10^7), as a floor rounded to 128 bits is, once converted exactly and
+    # then stripped its ten million trailing zero bits a shift at a time;
+    # 3 * 2^(10^6) + 1 rounds to a pair of two ends
+    for v in (1 << 10**7, (3 << 10**6) + 1):
+        with _iv_at(128) as iv:
+            assert _enclose(v, 128) == iv.mpf(v)._mpi_
 
 
 # -- digit ranges of scale windows ------------------------------------------------

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import piercelib
-from piercelib import cli, profiles
+from piercelib import _precision, cli, profiles
 from piercelib._precision import PrecisionError, certified_floor, certified_sign
-from piercelib.families import count_constrained_words, enumerate_constrained_words
+from piercelib.families import SetSpec, count_constrained_words, enumerate_constrained_words, membership
 from piercelib.profiles import (
     DEFAULT_WINDOW,
     _decode,
@@ -427,24 +427,15 @@ def test_row_memo_keys_by_precision_and_stores_no_error(monkeypatch):
     # exp(sqrt 2), its log and its enclosure all change with the precision:
     # one question reads them at 128, 256 and again 128 bits
     profile = exp_of_profile(sqrt_profile())
-    iv, old = mpmath.iv, mpmath.iv.prec
 
-    def read_all():
-        with mpmath.workprec(iv.prec):
-            value = profile.iv_value(2, iv)
-            return profile.mp_value(2), profile.log_value(2), value.a, value.b
+    def read_all(bits):
+        with mpmath.workprec(bits):
+            return profile.mp_value(2), profile.log_value(2), profile._row(2, bits)
 
-    try:
-        want = {}
-        for bits in (128, 256):
-            iv.prec = bits
-            want[bits] = read_all()
-        with profiles._question():
-            for bits in (128, 256, 128):
-                iv.prec = bits
-                assert read_all() == want[bits]
-    finally:
-        iv.prec = old
+    want = {bits: read_all(bits) for bits in (128, 256)}
+    with profiles._question():
+        for bits in (128, 256, 128):
+            assert read_all(bits) == want[bits]
 
 
 EVEN = BoundsProfile(l=affine_profile(2), r=affine_profile(2, 2))
@@ -785,6 +776,31 @@ def test_precision_error_caught_only_by_compare_helper_and_cli_main():
         "families._window_membership",
         "profiles.certified_compare",
     ]
+
+
+def test_no_decision_inside_the_package_enters_mpmath_iv(monkeypatch, capsys):
+    # `_at_precision` adapts the public certified_floor/certified_sign to
+    # `mpmath.iv`; every floor and sign the package takes itself escalates
+    # raw enclosures and never calls it
+    def refuse(expr, bits):
+        raise AssertionError("a decision entered mpmath.iv")
+
+    monkeypatch.setattr(_precision, "_at_precision", refuse)
+    for spec in (
+        {"family": "E_star", "params": {"u": {"kind": "builtin", "name": "scale_exp_sqrt"}}},
+        {"family": "E_phi", "params": {"profile": {"kind": "log", "coeff": 2}}},
+    ):
+        assert cli.main(["dim", json.dumps(spec), "--n-max", "60"]) == 0
+        assert "unavailable" not in capsys.readouterr().out
+    assert deviation_bounds(builtin_profiles()["lil"], 1).threshold > 0
+    assert len(oscillating_ratio_word(40)) == 40
+    word = (3, 9, 17)  # inside n e^sqrt(n) < d_n <= (n+1) e^sqrt(n)
+    for spec in (
+        SetSpec("A_kappa", {"kappa": Fraction(1, 2)}),  # log d_n >= n/2
+        SetSpec("S_generic", {"m": 1, "h1": sqrt_profile(2), "h2": affine_profile(1)}),  # 2 sqrt(d_n) < d_n+1
+        SetSpec("E_star", {"u": builtin_profiles()["scale_exp_sqrt"]}),
+    ):
+        assert membership(spec, word, 3).satisfied_so_far, spec.family
 
 
 def _unused_imports(source: str) -> list[str]:
